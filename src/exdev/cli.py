@@ -16,18 +16,18 @@ import json
 import math
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import __version__, SCHEMA_VERSION
-from .config import (as_float, as_float_list, as_int, as_int_list, as_seed,
+from .config import (as_float, as_int, as_int_list, as_seed,
                      density_from_options, load_config, merge_options)
 from .conditional import (ConditionDescriptor, dlp_check, epsilon_schedule,
                           exceedance_vs_point_equivalence, marginal_tv,
                           sample_point_conditional)
 from .edgeworth import convolve_oracle, edgeworth_density
-from .errors import ExdevError, NumericalError, ValidationError
+from .errors import ExdevError, ValidationError
 from .levelsets import (f_catalog, level_set_sampler, positive_marginal,
                         product_ambient, signed_sqrt_marginal)
 from .tails import tail_prob, tail_prob_is_oracle
@@ -44,11 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _threads(opts: Dict[str, str]) -> int:
-    if "threads" in opts:
-        v = as_int(opts, "threads")
-    else:
-        env = os.environ.get("EXDEV_THREADS", "")
-        v = int(env) if env.isdigit() else (os.cpu_count() or 1)
+    v = as_int(opts, "threads") if "threads" in opts else (os.cpu_count() or 1)
     if v < 1:
         raise ValidationError("threads must be >= 1")
     return v
@@ -219,7 +215,6 @@ def _exp_gibbs_tv(opts: Dict[str, str]) -> None:
 
 def _exp_dlp(opts: Dict[str, str]) -> None:
     k = as_float(opts, "k")
-    opts.setdefault("density", "weibull")
     d = density_from_options(opts)
     alpha = as_float(opts, "alpha")
     n_list = as_int_list(opts, "n-list")
@@ -305,34 +300,40 @@ def _exp_equiv(opts: Dict[str, str]) -> None:
     _emit("equiv", opts, results, header, rows)
 
 
-_EXPERIMENTS = {
-    "tilt": _exp_tilt,
-    "edgeworth": _exp_edgeworth,
-    "tail": _exp_tail,
-    "gibbs-tv": _exp_gibbs_tv,
-    "dlp": _exp_dlp,
-    "levelset": _exp_levelset,
-    "equiv": _exp_equiv,
-}
+class _Experiment(NamedTuple):
+    run: Callable[[Dict[str, str]], None]
+    defaults: Dict[str, str]
+    flags: Tuple[str, ...]  # read by run, besides _COMMON_FLAGS
 
-_DEFAULTS: Dict[str, Dict[str, str]] = {
-    "tilt": {"t-min": "10", "t-max": "10000", "t-count": "25", "seed": "0"},
-    "edgeworth": {"mean-target": "20", "n-list": "4,16,64", "seed": "0"},
-    "tail": {"n": "10", "a": "3", "is-samples": "0", "seed": "0"},
-    "gibbs-tv": {"n-list": "8,32,128", "alpha": "0.35", "chains": "512",
-                 "seed": "0"},
-    "dlp": {"alpha": "0.4", "n-list": "16,64,256", "count": "20000",
-            "delta": "0.1", "seed": "0"},
-    "levelset": {"f": "sumsq", "dim": "1", "count": "20000", "seed": "0"},
-    "equiv": {"n": "128", "alpha": "0.35", "count": "40000", "seed": "0"},
-}
 
-_FLAGS = [
-    "config", "density", "k", "terms", "class", "seed", "out", "threads",
-    "t-min", "t-max", "t-count", "mean-target", "n-list", "n", "a", "a-n",
-    "alpha", "is-samples", "chains", "steps", "burn-in", "stride", "count",
-    "delta", "f", "dim", "marginal",
-]
+# every experiment reads these; seed is in every report (schema v1)
+_COMMON_FLAGS = ("config", "out", "seed", "density", "k", "terms", "class")
+
+_EXPERIMENTS: Dict[str, _Experiment] = {
+    "tilt": _Experiment(
+        _exp_tilt, {"t-min": "10", "t-max": "10000", "t-count": "25"},
+        ("t-min", "t-max", "t-count")),
+    "edgeworth": _Experiment(
+        _exp_edgeworth, {"mean-target": "20", "n-list": "4,16,64"},
+        ("mean-target", "n-list")),
+    "tail": _Experiment(
+        _exp_tail, {"n": "10", "a": "3", "is-samples": "0"},
+        ("n", "a", "is-samples", "threads")),
+    "gibbs-tv": _Experiment(
+        _exp_gibbs_tv, {"n-list": "8,32,128", "alpha": "0.35",
+                        "chains": "512"},
+        ("n-list", "alpha", "chains", "steps", "burn-in", "stride")),
+    "dlp": _Experiment(
+        _exp_dlp, {"density": "weibull", "alpha": "0.4",
+                   "n-list": "16,64,256", "count": "20000", "delta": "0.1"},
+        ("alpha", "n-list", "count", "delta")),
+    "levelset": _Experiment(
+        _exp_levelset, {"f": "sumsq", "dim": "1", "count": "20000"},
+        ("f", "dim", "a", "count", "marginal")),
+    "equiv": _Experiment(
+        _exp_equiv, {"n": "128", "alpha": "0.35", "count": "40000"},
+        ("n", "a-n", "alpha", "count")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,14 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"exdev {__version__} (report schema "
                                 f"{SCHEMA_VERSION})")
     sub = parser.add_subparsers(dest="experiment")
-    for name in _EXPERIMENTS:
-        p = sub.add_parser(name, add_help=True)
-        for flag in _FLAGS:
+    for name, exp in _EXPERIMENTS.items():
+        # no prefix matching: "dlp --n" must not pass as "--n-list"
+        p = sub.add_parser(name, allow_abbrev=False)
+        for flag in _COMMON_FLAGS + exp.flags:
             p.add_argument(f"--{flag}", default=None)
     return parser
 
 
 def run_experiment(experiment: str, flag_values: Dict[str, Optional[str]]) -> None:
+    exp = _EXPERIMENTS[experiment]
     config = {}
     if flag_values.get("config"):
         config = load_config(flag_values["config"])
@@ -357,12 +360,16 @@ def run_experiment(experiment: str, flag_values: Dict[str, Optional[str]]) -> No
         raise ValidationError(
             f"config targets {config['experiment']!r}, invoked {experiment!r}")
     config.pop("experiment", None)
-    opts = merge_options(_DEFAULTS[experiment], config,
-                         {k: v for k, v in flag_values.items()
-                          if k != "config"})
+    flags = {k: v for k, v in flag_values.items() if v is not None}
+    allowed = _COMMON_FLAGS + exp.flags
+    unread = sorted(k for k in {**config, **flags} if k not in allowed)
+    if unread:
+        raise ValidationError(
+            f"{experiment} does not read {', '.join(unread)}")
+    opts = merge_options({"seed": "0", **exp.defaults}, config, flags)
     opts.pop("config", None)
     as_seed(opts)  # validate early
-    _EXPERIMENTS[experiment](opts)
+    exp.run(opts)
 
 
 def main(argv=None) -> int:
@@ -378,9 +385,6 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         sys.stderr.write(f"ERROR {exc.tag}: {exc}\n")
         return 2
-    except NumericalError as exc:
-        sys.stderr.write(f"ERROR {exc.tag}: {exc}\n")
-        return 3
     except ExdevError as exc:
         sys.stderr.write(f"ERROR {exc.tag}: {exc}\n")
         return 3

@@ -234,7 +234,7 @@ def sample_point_conditional(d: LightTailDensity, cond: ConditionDescriptor,
         raise DomainError("need at least one chain and one retained state")
 
     kernel = _PairKernel(d)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     x = np.full((chains, n), float(a))
     keep = max(1, min(keep_coords, n))
     level = n * a
@@ -296,7 +296,7 @@ def sample_exceedance_conditional(d: LightTailDensity,
     n, a = cond.n, cond.a_n
     td = tilt_to_mean(d, a)
     table = sampler_tilted(td)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     level = n * a
     keep = max(1, min(keep_coords, n))
 
@@ -398,68 +398,45 @@ def marginal_tv(sample: ConditionalSample, reference, bins: Optional[int] = None
     ref_mass = _reference_bin_masses(ref_pdf, edges)
     ref_out = max(0.0, 1.0 - ref_mass.sum())
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
 
+    def tv_of(hist, total):
+        # hist: nb bin masses, then the mass outside the binned range
+        return 0.5 * (np.abs(hist[:nb] / total - ref_mass).sum()
+                      + hist[nb] / total + ref_out)
+
+    draws = np.empty(bootstrap)
     if weights is None and blocks.shape[1] == 1:
         # iid scalar draws: bootstrap = multinomial resample of the histogram
         counts, _ = np.histogram(blocks[:, 0], bins=edges)
         size = flat.size
-        out_count = size - counts.sum()
-        probs = np.append(counts, out_count) / size
-
-        def tv_of(cnt, outc, total):
-            emp = cnt / total
-            return 0.5 * (np.abs(emp - ref_mass).sum()
-                          + outc / total + ref_out)
-
-        tv = tv_of(counts, out_count, size)
-        draws = np.empty(bootstrap)
+        hist = np.append(counts, size - counts.sum())
+        tv = tv_of(hist, size)
         for b in range(bootstrap):
-            resampled = rng.multinomial(size, probs)
-            draws[b] = tv_of(resampled[:nb], resampled[nb], size)
+            draws[b] = tv_of(rng.multinomial(size, hist / size), size)
     elif weights is None:
         # pooled Gibbs output: one histogram per chain, bootstrap over chains
         units = blocks.shape[0]
-        per_unit = np.empty((units, nb))
-        out_unit = np.empty(units)
+        per_unit = np.empty((units, nb + 1))
         for r in range(units):
-            per_unit[r], _ = np.histogram(blocks[r], bins=edges)
-            out_unit[r] = blocks[r].size - per_unit[r].sum()
-        totals = per_unit.sum(axis=0)
-        emp_out = out_unit.sum()
-        size = flat.size
-
-        def tv_of(counts, out_count, total):
-            emp = counts / total
-            return 0.5 * (np.abs(emp - ref_mass).sum()
-                          + out_count / total + ref_out)
-
-        tv = tv_of(totals, emp_out, size)
-        draws = np.empty(bootstrap)
+            per_unit[r, :nb], _ = np.histogram(blocks[r], bins=edges)
+            per_unit[r, nb] = blocks[r].size - per_unit[r, :nb].sum()
+        tv = tv_of(per_unit.sum(axis=0), flat.size)
         for b in range(bootstrap):
             pick = rng.integers(0, units, units)
             cnt = per_unit[pick].sum(axis=0)
-            outc = out_unit[pick].sum()
-            draws[b] = tv_of(cnt, outc, cnt.sum() + outc)
+            draws[b] = tv_of(cnt, cnt.sum())
     else:
+        # weighted iid rows: bootstrap over rows, overflow bucket nb
         vals = blocks[:, 0]
         size = vals.size
         idx = np.searchsorted(edges, vals, side="right") - 1
-        inside = (idx >= 0) & (idx < nb)
-        bin_of = np.where(inside, idx, nb)  # overflow bucket nb
-
-        def tv_w(sel_bins, sel_w):
-            tot = sel_w.sum()
-            hist = np.bincount(sel_bins, weights=sel_w, minlength=nb + 1)
-            emp = hist[:nb] / tot
-            emp_out = hist[nb] / tot
-            return 0.5 * (np.abs(emp - ref_mass).sum() + emp_out + ref_out)
-
-        tv = tv_w(bin_of, weights)
-        draws = np.empty(bootstrap)
+        bin_of = np.where((idx >= 0) & (idx < nb), idx, nb)
+        tv = tv_of(np.bincount(bin_of, weights, nb + 1), weights.sum())
         for b in range(bootstrap):
             pick = rng.integers(0, size, size)
-            draws[b] = tv_w(bin_of[pick], weights[pick])
+            w = weights[pick]
+            draws[b] = tv_of(np.bincount(bin_of[pick], w, nb + 1), w.sum())
 
     lo_ci, hi_ci = np.percentile(draws, [2.5, 97.5])
     return TVEstimate(tv=float(tv), ci_low=float(min(lo_ci, tv)),
@@ -654,11 +631,16 @@ class DLPEstimate:
     precondition_value: float
 
 
-def _weighted_fraction(w: np.ndarray, ind: np.ndarray) -> float:
-    """sum(w * ind) / sum(w) for a 0/1 indicator: both sums run the same
-    pairwise tree over equal-shape arrays and rounding is monotone, so the
-    ratio lies in [0, 1] exactly and is 1.0 when ind is all ones."""
-    return float(np.sum(w * ind) / np.sum(w))
+def _weighted_fraction(w: np.ndarray, ind: np.ndarray) -> tuple[float, float]:
+    """(estimate, se) of the weighted mean of a 0/1 indicator.
+
+    The estimate is sum(w * ind) / sum(w): both sums run the same pairwise
+    tree over equal-shape arrays and rounding is monotone, so it lies in
+    [0, 1] exactly and is 1.0 when ind is all ones."""
+    total = np.sum(w)
+    est = float(np.sum(w * ind) / total)
+    wn = w / total
+    return est, float(np.sqrt(np.sum(wn ** 2 * (ind - est) ** 2)))
 
 
 def dlp_check(d: LightTailDensity, cond: ConditionDescriptor,
@@ -687,10 +669,7 @@ def dlp_check(d: LightTailDensity, cond: ConditionDescriptor,
         raise DomainError("need an exceedance sample with min/max tracking")
     lo, hi = window.window
     ind = ((sample.mins > lo) & (sample.maxs < hi)).astype(float)
-    w = sample.weights
-    wn = w / w.sum()
-    est = _weighted_fraction(w, ind)
-    se = float(np.sqrt(np.sum(wn ** 2 * (ind - est) ** 2)))
+    est, se = _weighted_fraction(sample.weights, ind)
     return DLPEstimate(estimate=est, se=se, window=window,
                        sample_size=int(ind.size), ess=sample.ess,
                        precondition_value=float(math.log(g_an)
@@ -722,7 +701,7 @@ def location_law_check(d: LightTailDensity, a_grid,
     """KS distance between the standardized tilted law (X - a)/s and the
     standard normal, for each level in a_grid."""
     a_grid = np.atleast_1d(np.asarray(a_grid, dtype=float))
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     ts, ss, kss = [], [], []
     for a in a_grid:
         td = tilt_to_mean(d, float(a))
@@ -775,15 +754,12 @@ def exceedance_vs_point_equivalence(d: LightTailDensity, n: int, a_n: float,
     sample = sample_exceedance_conditional(d, cond, count, seed=seed)
     td = tilt_to_mean(d, a_n)
     x1 = sample.coords[:, 0]
-    w = sample.weights
-    wn = w / w.sum()
     rows = []
     for (lo, hi) in B:
         if not lo < hi:
             raise DomainError("interval bounds must satisfy lo < hi")
         ind = ((x1 > lo) & (x1 < hi)).astype(float)
-        p = _weighted_fraction(w, ind)
-        se = float(np.sqrt(np.sum(wn ** 2 * (ind - p) ** 2)))
+        p, se = _weighted_fraction(sample.weights, ind)
         if p - 2.0 * se < 0.01:
             raise MassTooSmall(
                 f"interval ({lo:g},{hi:g}): empirical mass {p:.4f} "

@@ -18,8 +18,7 @@ from .errors import ConfigMissing, ValidationError
 
 __all__ = [
     "parse_config_text", "load_config", "merge_options", "as_float",
-    "as_int", "as_seed", "as_float_list", "as_int_list",
-    "density_from_options", "density_option_keys",
+    "as_int", "as_seed", "as_int_list", "density_from_options",
 ]
 
 
@@ -97,18 +96,6 @@ def _split(value: str) -> List[str]:
     return [p for p in (s.strip() for s in value.split(",")) if p]
 
 
-def as_float_list(opts: Dict[str, str], key: str) -> List[float]:
-    if key not in opts:
-        raise ConfigMissing(f"missing required option {key!r}")
-    try:
-        vals = [float(p) for p in _split(opts[key])]
-    except ValueError:
-        raise ValidationError(f"option {key!r}: not a number list")
-    if not vals:
-        raise ValidationError(f"option {key!r}: empty list")
-    return vals
-
-
 def as_int_list(opts: Dict[str, str], key: str) -> List[int]:
     if key not in opts:
         raise ConfigMissing(f"missing required option {key!r}")
@@ -123,9 +110,6 @@ def as_int_list(opts: Dict[str, str], key: str) -> List[int]:
 
 # ---------------------------------------------------------------------------
 # density construction
-
-density_option_keys = ("density", "k", "terms", "class")
-
 
 def _parse_terms(spec: str) -> Sequence:
     """'power:1:2.5, log:-1.5, exp:0.3679:1' -> exponent term objects."""

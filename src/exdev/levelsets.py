@@ -24,7 +24,7 @@ import numpy as np
 from .densities import (ClassTag, LightTailDensity, LogTerm, PowerTerm,
                         density_from_terms)
 from .errors import DomainError, NotSolvable, PushforwardUnsolvable
-from .tilting import cumulants, invert_m
+from .tilting import _solve_mean, cumulants, invert_m
 from .conditional import DLPWindow, epsilon_schedule
 
 __all__ = [
@@ -221,31 +221,13 @@ class PushforwardModel:
         """t with m(t) = a."""
         if self.coefs is None:
             return invert_m(self.scalar, a / self.mult).t
-        if a <= self.m(0.0):
+        m0 = self.m(0.0)
+        if a <= m0:
             raise NotSolvable("target below the unconstrained mean")
         scale = float(self.coefs.sum())
         t0 = invert_m(self.scalar, a / scale).t / float(self.coefs.max())
-        lo, hi = 0.0, max(t0, 1e-6)
-        for _ in range(200):
-            if self.m(hi) >= a:
-                break
-            lo, hi = hi, hi * 2.0
-        else:
-            raise NotSolvable("no bracket for the combination tilt")
-        t = 0.5 * (lo + hi)
-        for _ in range(100):
-            mv = self.m(t)
-            if mv > a:
-                hi = t
-            else:
-                lo = t
-            step = t + (a - mv) / max(self.s2(t), 1e-300)
-            t = step if lo < step < hi else 0.5 * (lo + hi)
-            if abs(mv - a) <= 1e-12 * (abs(a) + 1.0):
-                return t
-        if abs(self.m(t) - a) <= 1e-9 * (abs(a) + 1.0):
-            return t
-        raise NotSolvable("combination tilt did not converge")
+        return _solve_mean(lambda t: (self.m(t), self.s2(t)), a,
+                           max(t0, 1e-6), (m0, self.s2(0.0)))
 
 
 def pushforward_model(ambient: AmbientLaw, f: FSpec) -> PushforwardModel:
@@ -287,10 +269,8 @@ def pushforward_model(ambient: AmbientLaw, f: FSpec) -> PushforwardModel:
             raise PushforwardUnsolvable(
                 "linear combinations of signed marginals are two-sided")
         coefs = f.coefs if f.coefs is not None else np.ones(d)
-        if np.all(coefs == coefs[0]):
-            scaled = marg.base if coefs[0] == 1.0 else None
-            if scaled is not None:
-                return PushforwardModel(scalar=scaled, mult=d)
+        if np.all(coefs == 1.0):
+            return PushforwardModel(scalar=marg.base, mult=d)
         return PushforwardModel(scalar=marg.base, coefs=coefs)
     raise PushforwardUnsolvable(f"no reduction for constraint {f.name!r}")
 
@@ -367,7 +347,7 @@ def mh_sample(law: FTiltedLaw, count: int, seed: int = 0, chains: int = 256,
     between the mirrored modes without touching the radial profile.
     Returns (points (count, dim), f_values, acceptance_rate).
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     d = law.ambient.dim
     x = _init_state(law, chains, rng)
     lp = law.log_density(x)

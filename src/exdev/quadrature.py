@@ -23,8 +23,8 @@ from .errors import Divergent, NumericalError
 DROP = 690.0
 
 
-def _bisect_drop(L: Callable[[float], float], x_in: float, x_out: float,
-                 target: float, iters: int = 80) -> float:
+def bisect_drop(L: Callable[[float], float], x_in: float, x_out: float,
+                target: float, iters: int = 80) -> float:
     """Point between x_in (L >= target) and x_out (L < target) where L crosses."""
     for _ in range(iters):
         mid = 0.5 * (x_in + x_out)
@@ -56,7 +56,7 @@ def window(L: Callable[[float], float], x_peak: float, lo: float = 0.0,
         v = L(lo)
         if math.isnan(v):
             v = -math.inf
-        x_lo = lo if v >= target else _bisect_drop(L, x_peak, lo, target)
+        x_lo = lo if v >= target else bisect_drop(L, x_peak, lo, target)
 
     w = max(1e-6, 1e-3 * (1.0 + abs(x_peak)))
     x = x_peak
@@ -66,7 +66,7 @@ def window(L: Callable[[float], float], x_peak: float, lo: float = 0.0,
         if v > M + 1e-9 * abs(M) + 1e-12 and w > 1e-3 * (1.0 + abs(x_peak)):
             raise Divergent("integrand increases beyond the supplied peak")
         if v < target:
-            x_hi = _bisect_drop(L, x, x_next, target)
+            x_hi = bisect_drop(L, x, x_next, target)
             break
         x = x_next
         w *= 2.0

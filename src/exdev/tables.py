@@ -16,6 +16,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import TableBuildFail
+from .quadrature import bisect_drop
 
 __all__ = ["CdfTable", "build_cdf_table"]
 
@@ -26,7 +27,6 @@ class CdfTable:
 
     x: np.ndarray
     F: np.ndarray
-    raw_mass: float
     _ppf: PchipInterpolator
     _cdf: PchipInterpolator
 
@@ -41,10 +41,6 @@ class CdfTable:
         out = np.where(x < self.x[0], 0.0, out)
         out = np.where(x > self.x[-1], 1.0, out)
         return out[()] if out.ndim == 0 else out
-
-    def bin_masses(self, edges) -> np.ndarray:
-        e = self.cdf(np.asarray(edges, dtype=float))
-        return np.diff(e)
 
     def sample(self, count: int, rng: np.random.Generator,
                batch: int = 4_000_000) -> np.ndarray:
@@ -99,20 +95,9 @@ def build_cdf_table(log_pdf: Callable, *, peak: float, scale: float,
         raise TableBuildFail("log density not finite at the supplied peak")
     target = M - drop
 
-    x_lo = lo
-    if L(lo) >= target:
-        x_lo = lo
-    else:
-        a, b = peak, lo
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            if mid in (a, b):
-                break
-            if L(mid) >= target:
-                a = mid
-            else:
-                b = mid
-        x_lo = b
+    x_lo = lo if L(lo) >= target else bisect_drop(L, peak, lo, target)
+    # callers may pass the mean as the peak hint, so L can still rise just
+    # right of it: unlike quadrature.window, no divergence check here
     w = max(scale, 1e-8)
     x = peak
     for _ in range(200):
@@ -122,16 +107,7 @@ def build_cdf_table(log_pdf: Callable, *, peak: float, scale: float,
         w *= 2.0
         if peak + w > 1e15:
             raise TableBuildFail("density does not decay on the right")
-    a, b = x, peak + w
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        if mid in (a, b):
-            break
-        if L(mid) >= target:
-            a = mid
-        else:
-            b = mid
-    x_hi = b
+    x_hi = bisect_drop(L, x, peak + w, target)
 
     grid = _knot_layout(peak, scale, x_lo, x_hi, knots)
     if grid.size < 32:
@@ -144,7 +120,6 @@ def build_cdf_table(log_pdf: Callable, *, peak: float, scale: float,
     total = F[-1]
     if not total > 0.0:
         raise TableBuildFail("zero mass over the table window")
-    raw_mass = total * math.exp(M)
     F /= total
 
     keep = np.concatenate([[True], np.diff(F) > 0.0])
@@ -153,6 +128,6 @@ def build_cdf_table(log_pdf: Callable, *, peak: float, scale: float,
         Fs = Fs / Fs[-1]
     if xs.size < 16:
         raise TableBuildFail("too few strictly increasing CDF knots")
-    return CdfTable(x=xs, F=Fs, raw_mass=float(raw_mass),
+    return CdfTable(x=xs, F=Fs,
                     _ppf=PchipInterpolator(Fs, xs, extrapolate=False),
                     _cdf=PchipInterpolator(xs, Fs, extrapolate=False))

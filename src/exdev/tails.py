@@ -147,7 +147,7 @@ def tail_prob_is_oracle(d: LightTailDensity, n: int, a: float,
     children = ss.spawn(len(counts))
 
     def run(i: int):
-        rng = np.random.Generator(np.random.PCG64(children[i]))
+        rng = np.random.default_rng(children[i])
         return _is_batch(table, rng, counts[i], n, td.t, n_log_phi, na)
 
     if threads > 1 and len(counts) > 1:

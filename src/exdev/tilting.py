@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -26,7 +26,7 @@ __all__ = [
     "M6_STANDARD_NORMAL", "CumulantTriple", "TiltedDensity", "AbelianReport",
     "GrowthReport", "log_mgf", "cumulants", "density_mean", "invert_m",
     "tilt_at", "tilt_to_mean", "abelian_check", "self_neglect_check",
-    "growth_condition", "growth_report",
+    "growth_report",
 ]
 
 # sixth moment of the standard normal; the reference third-moment constant
@@ -148,43 +148,65 @@ def invert_m(d: LightTailDensity, a: float, *, rel_tol: float = 1e-12,
         t0 = (a - base.m) / base.s2
     t0 = min(max(t0, 1e-12), t_cap)
 
+    seen = {0.0: base}
+
+    def m_s2(t: float) -> tuple[float, float]:
+        c = seen[t] = cumulants(d, t)
+        return c.m, c.s2
+
+    return seen[_solve_mean(m_s2, a, t0, (base.m, base.s2), rel_tol=rel_tol,
+                            t_cap=t_cap, max_iter=max_iter)]
+
+
+def _solve_mean(m_s2: Callable[[float], tuple[float, float]], a: float,
+                t0: float, at_zero: tuple[float, float], *,
+                rel_tol: float = 1e-12, t_cap: float = 1e10,
+                max_iter: int = 80) -> float:
+    """t >= 0 with m(t) = a for an increasing mean map, m_s2(t) = (m, m').
+
+    Brackets from the guess t0 by doubling/halving (at_zero stands in for
+    m_s2(0.0)), starts at the bracket end closer to a, then runs Newton
+    steps that fall back to bisection when they leave the bracket.
+    """
     lo, hi = 0.0, t0
-    c_hi = cumulants(d, hi)
+    c_hi = m_s2(hi)
     grow = 0
-    while c_hi.m < a:
+    while c_hi[0] < a:
         lo = hi
         hi *= 2.0
         grow += 1
         if hi > t_cap or grow > 120:
             raise BracketFail("could not bracket the tilt from above")
-        c_hi = cumulants(d, hi)
+        c_hi = m_s2(hi)
     # lo currently has m(lo) < a unless t0 overshot on the first try
-    c_lo = cumulants(d, lo) if lo > 0.0 else base
-    while c_lo.m > a:
+    c_lo = m_s2(lo) if lo > 0.0 else at_zero
+    while c_lo[0] > a:
         hi, c_hi = lo, c_lo
         lo *= 0.5
         if lo < 1e-300:
-            lo, c_lo = 0.0, base
+            lo, c_lo = 0.0, at_zero
             break
-        c_lo = cumulants(d, lo)
+        c_lo = m_s2(lo)
 
-    t, c = (hi, c_hi) if abs(c_hi.m - a) < abs(c_lo.m - a) else (lo, c_lo)
+    t, (m, s2) = ((hi, c_hi) if abs(c_hi[0] - a) < abs(c_lo[0] - a)
+                  else (lo, c_lo))
     for _ in range(max_iter):
-        if abs(c.m - a) <= rel_tol * abs(a):
-            return c
-        if c.m > a:
+        if abs(m - a) <= rel_tol * abs(a):
+            return t
+        if m > a:
             hi = min(hi, t)
         else:
             lo = max(lo, t)
-        step = (a - c.m) / c.s2
+        step = (a - m) / s2
         t_new = t + step
         if not (lo < t_new < hi):
             t_new = 0.5 * (lo + hi)
-        t, c = t_new, cumulants(d, t_new)
-    if abs(c.m - a) <= 1e-9 * abs(a):
-        return c
+        t = t_new
+        m, s2 = m_s2(t)
+    if abs(m - a) <= 1e-9 * abs(a):
+        return t
     raise BracketFail(
-        f"tilt inversion stalled: residual {abs(c.m - a):.3e} at t={t!r}")
+        f"tilt inversion stalled: residual {abs(m - a):.3e} at t={t!r}")
 
 
 def tilt_to_mean(d: LightTailDensity, a: float) -> TiltedDensity:
@@ -329,9 +351,3 @@ def growth_report(d: LightTailDensity, n: int, a_n: float) -> GrowthReport:
         n=n, a_n=a_n, t=c.t,
         lemma_form=ps ** 2 / (math.sqrt(n) * p1),
         printed_form=ps ** 2 / math.sqrt(n * p1))
-
-
-def growth_condition(d: LightTailDensity, n: int, a_n: float) -> float:
-    """Growth functional governing the extreme-level regime; the variant
-    actually used in the asymptotic argument (sqrt(n) outside psi')."""
-    return growth_report(d, n, a_n).lemma_form

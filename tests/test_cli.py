@@ -10,7 +10,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from exdev.cli import main
+from exdev.cli import build_parser, main
+from exdev.errors import ValidationError
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "src" / "exdev" / "schema" / "report-v1.json"
 
@@ -52,6 +53,59 @@ def test_unknown_flag_rejected(capsys):
     code, _, err = run_cli(["tilt", "--no-such-flag", "1"], capsys)
     assert code == 2
     assert err.startswith("ERROR CONFIG_INVALID:")
+
+
+def test_unrelated_flag_rejected(capsys):
+    # tilt reads none of these; they must not slip into the report config
+    code, _, err = run_cli(["tilt", "--density", "weibull", "--k", "3",
+                            "--chains", "5", "--n-list", "1,2",
+                            "--is-samples", "9"], capsys)
+    assert code == 2
+    assert err.startswith("ERROR CONFIG_INVALID:")
+
+
+def test_unrelated_config_key_rejected(tmp_path, capsys):
+    cfg = tmp_path / "tilt.cfg"
+    cfg.write_text("density = weibull\nk = 3\nchains = 5\n")
+    code, _, err = run_cli(["tilt", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert err.startswith("ERROR CONFIG_INVALID:")
+
+
+def test_flag_prefix_is_not_expanded(capsys):
+    # dlp has --n-list but no --n
+    code, _, err = run_cli(["dlp", "--k", "2.5", "--n", "16"], capsys)
+    assert code == 2
+    assert err.startswith("ERROR CONFIG_INVALID:")
+
+
+COMMON_FLAGS = {"config", "out", "seed", "density", "k", "terms", "class"}
+READS = {
+    "tilt": {"t-min", "t-max", "t-count"},
+    "edgeworth": {"mean-target", "n-list"},
+    "tail": {"n", "a", "is-samples", "threads"},
+    "gibbs-tv": {"n-list", "alpha", "chains", "steps", "burn-in", "stride"},
+    "dlp": {"alpha", "n-list", "count", "delta"},
+    "levelset": {"f", "dim", "a", "count", "marginal"},
+    "equiv": {"n", "a-n", "alpha", "count"},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(READS))
+def test_each_experiment_takes_only_its_flags(experiment, tmp_path, capsys):
+    parser = build_parser()
+    for flag in COMMON_FLAGS | READS[experiment]:
+        args = parser.parse_args([experiment, f"--{flag}", "1"])
+        assert getattr(args, flag.replace("-", "_")) == "1"
+    unread = set().union(*READS.values()) - READS[experiment]
+    for flag in sorted(unread):
+        with pytest.raises(ValidationError):
+            parser.parse_args([experiment, f"--{flag}", "1"])
+        cfg = tmp_path / f"{flag}.cfg"
+        cfg.write_text(f"density = weibull\nk = 3\n{flag} = 1\n")
+        code, _, err = run_cli([experiment, "--config", str(cfg)], capsys)
+        assert code == 2, flag
+        assert err.startswith("ERROR CONFIG_INVALID:"), err
 
 
 def test_missing_config_file(capsys):
