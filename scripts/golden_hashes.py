@@ -1,0 +1,55 @@
+#!/usr/bin/env python3
+"""sha256 of the golden CLI outputs, to show a change keeps them byte-identical.
+
+Runs eight experiments from this checkout's src/ in a fresh empty temporary
+directory, each with `--out golden/<name>` (the out path is part of the
+report), and prints one `<sha256>  <file>` line per output file.  run0-run4
+are the five runs of acceptance criterion 11, in order; edge, gtv and lvl
+cover the edgeworth, gibbs-tv and levelset experiments.  Run it on two
+commits and diff the output.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+RUNS = {
+    "run0": ["tilt", "--density", "weibull", "--k", "3", "--t-count", "7"],
+    "run1": ["tail", "--density", "weibull", "--k", "2", "--n", "10",
+             "--a", "3", "--is-samples", "200000", "--threads", "2"],
+    "run2": ["dlp", "--density", "weibull", "--k", "2.5", "--n-list",
+             "16,64", "--count", "4000", "--seed", "3"],
+    "run3": ["equiv", "--density", "weibull", "--k", "2.5", "--n", "32",
+             "--a-n", "3.0", "--count", "8000", "--seed", "1"],
+    "run4": ["levelset", "--density", "weibull", "--k", "3", "--a", "5",
+             "--count", "4000", "--seed", "2"],
+    "edge": ["edgeworth", "--density", "weibull", "--k", "3",
+             "--n-list", "4,16"],
+    "gtv": ["gibbs-tv", "--density", "weibull", "--k", "2.5", "--n-list",
+            "8,16", "--chains", "64", "--steps", "320", "--burn-in", "160"],
+    "lvl": ["levelset", "--density", "weibull", "--k", "3", "--f", "linear",
+            "--dim", "3", "--a", "8", "--count", "4000", "--seed", "2"],
+}
+
+
+def main() -> None:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, args in RUNS.items():
+            subprocess.run([sys.executable, "-m", "exdev", *args,
+                            "--out", f"golden/{name}"],
+                           cwd=tmp, env=env, check=True)
+        for path in sorted(Path(tmp, "golden").iterdir()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.name}")
+
+
+if __name__ == "__main__":
+    main()

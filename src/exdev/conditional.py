@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .densities import LightTailDensity, LogTerm, PowerTerm
 from .errors import (DomainError, InfeasibleStart, LowAcceptance,
@@ -709,7 +709,7 @@ def location_law_check(d: LightTailDensity, a_grid,
         x = np.sort(table.sample(draws, rng))
         z = (x - a) / td.s
         ecdf_hi = np.arange(1, draws + 1) / draws
-        cdf = norm.cdf(z)
+        cdf = ndtr(z)
         ks = float(max(np.max(ecdf_hi - cdf), np.max(cdf - (ecdf_hi - 1.0 / draws))))
         ts.append(td.t)
         ss.append(td.s)

@@ -2,8 +2,18 @@
 
 A table is built once from a log density by dense evaluation around the peak
 (refined there, geometric in the tails), cumulative trapezoid integration and
-a monotone PCHIP spline in each direction.  Sampling is then a vectorized
-spline evaluation, cheap enough for 1e8 draws in batches.
+a monotone PCHIP interpolant of x as a function of F.  Only the interpolant's
+cubic coefficients are kept.
+
+Inversion uses a guide table (Chen & Asau 1974; Devroye 1986, sec. III.2.4):
+`guide[j]` is the knot interval holding j/K for K = 2^14 buckets, a power of
+two so that u*K and j/K are exact.  A draw u in bucket j = floor(u*K) lies in
+interval guide[j] or guide[j] + 1 unless the bucket is "wide" (its guide
+entries differ by more than one, which happens only in the tails where knots
+are dense in F); those few draws fall back to a binary search.  The cubic is
+then evaluated in the same order as scipy's PPoly, so every value equals
+`PchipInterpolator(F, x)(u)` bit for bit.  Draws are filled and transformed
+in place in blocks of 2^16, so the intermediates stay in cache.
 """
 
 from __future__ import annotations
@@ -20,37 +30,85 @@ from .quadrature import bisect_drop
 
 __all__ = ["CdfTable", "build_cdf_table"]
 
+GUIDE_BUCKETS = 1 << 14
+BLOCK = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class CdfTable:
-    """Tabulated CDF with monotone spline inverses; immutable once built."""
+    """Tabulated CDF with a guide-table spline inverse; immutable once built.
+
+    x, F are the knots (F[0] = 0, F[-1] = 1, strictly increasing); c holds
+    the PCHIP coefficients of x(F), shape (4, len(F) - 1), highest power
+    first; F_next[i] = F[i + 1] except +inf for the last interval, which is
+    closed on the right; wide[j] flags buckets whose guide entries differ by
+    more than one.
+    """
 
     x: np.ndarray
     F: np.ndarray
-    _ppf: PchipInterpolator
-    _cdf: PchipInterpolator
+    c: np.ndarray
+    F_next: np.ndarray
+    guide: np.ndarray
+    wide: np.ndarray
 
     def ppf(self, u):
-        u = np.asarray(u, dtype=float)
-        out = self._ppf(np.clip(u, 0.0, 1.0))
-        return out[()] if out.ndim == 0 else out
+        u = np.array(u, dtype=float, order="C")
+        np.clip(u, 0.0, 1.0, out=u)
+        nan = np.isnan(u)
+        u[nan] = 0.0
+        flat = u.reshape(-1)
+        work = _work_arrays(min(flat.size, BLOCK))
+        for lo in range(0, flat.size, BLOCK):
+            self._invert(flat[lo:lo + BLOCK], work)
+        u[nan] = np.nan
+        return u[()] if u.ndim == 0 else u
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.clip(self._cdf(np.clip(x, self.x[0], self.x[-1])), 0.0, 1.0)
-        out = np.where(x < self.x[0], 0.0, out)
-        out = np.where(x > self.x[-1], 1.0, out)
-        return out[()] if out.ndim == 0 else out
-
-    def sample(self, count: int, rng: np.random.Generator,
-               batch: int = 4_000_000) -> np.ndarray:
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         out = np.empty(count, dtype=float)
-        done = 0
-        while done < count:
-            m = min(batch, count - done)
-            out[done:done + m] = self.ppf(rng.random(m))
-            done += m
+        work = _work_arrays(min(count, BLOCK))
+        for lo in range(0, count, BLOCK):
+            block = out[lo:lo + BLOCK]
+            rng.random(out=block)
+            self._invert(block, work)
         return out
+
+    def _invert(self, u: np.ndarray, work: tuple) -> None:
+        """Overwrite u (values in [0, 1]) with x(u)."""
+        j, i, hit, s, z, tmp = (a[:u.size] for a in work)
+        np.multiply(u, GUIDE_BUCKETS, out=s)
+        np.copyto(j, s, casting="unsafe")
+        np.take(self.guide, j, out=i)
+        np.take(self.F_next, i, out=s)
+        np.less_equal(s, u, out=hit)
+        i += hit
+        np.take(self.wide, j, out=hit)
+        if hit.any():
+            k = np.flatnonzero(hit)
+            i[k] = np.minimum(np.searchsorted(self.F, u[k], "right") - 1,
+                              self.F.size - 2)
+        c0, c1, c2, c3 = self.c
+        np.take(self.F, i, out=s)
+        np.subtract(u, s, out=s)
+        # x = c3 + c2 s + c1 s^2 + c0 s^3, summed and powered as PPoly does
+        np.take(c2, i, out=z)
+        z *= s
+        np.take(c3, i, out=u)
+        u += z
+        np.multiply(s, s, out=z)
+        np.take(c1, i, out=tmp)
+        tmp *= z
+        u += tmp
+        z *= s
+        np.take(c0, i, out=tmp)
+        tmp *= z
+        u += tmp
+
+
+def _work_arrays(m: int) -> tuple:
+    """Scratch for one block, made per call so threads can share a table."""
+    return (np.empty(m, dtype=np.intp), np.empty(m, dtype=np.intp),
+            np.empty(m, dtype=bool), np.empty(m), np.empty(m), np.empty(m))
 
 
 def _knot_layout(peak: float, scale: float, lo: float, hi: float,
@@ -128,6 +186,10 @@ def build_cdf_table(log_pdf: Callable, *, peak: float, scale: float,
         Fs = Fs / Fs[-1]
     if xs.size < 16:
         raise TableBuildFail("too few strictly increasing CDF knots")
-    return CdfTable(x=xs, F=Fs,
-                    _ppf=PchipInterpolator(Fs, xs, extrapolate=False),
-                    _cdf=PchipInterpolator(xs, Fs, extrapolate=False))
+    c = PchipInterpolator(Fs, xs).c.copy()
+    c[3] += 0.0  # PPoly starts its sum at +0.0, so a -0.0 knot value reads +0.0
+    guide = np.minimum(np.searchsorted(
+        Fs, np.arange(GUIDE_BUCKETS + 2) / GUIDE_BUCKETS, "right") - 1,
+        Fs.size - 2)
+    return CdfTable(x=xs, F=Fs, c=c, F_next=np.append(Fs[1:-1], np.inf),
+                    guide=guide, wide=np.diff(guide) > 1)

@@ -84,10 +84,9 @@ def tail_prob(d: LightTailDensity, n: int, a: float) -> TailEstimate:
                         lambda_n=lam, lambda_ok=ok)
 
 
-def sampler_tilted(td: TiltedDensity, knots: int = 4096) -> CdfTable:
+def sampler_tilted(td: TiltedDensity) -> CdfTable:
     """Inverse-CDF table for the tilted density, usable for bulk iid draws."""
-    return build_cdf_table(td.log_pdf, peak=td.m, scale=td.s, lo=0.0,
-                           knots=knots)
+    return build_cdf_table(td.log_pdf, peak=td.m, scale=td.s, lo=0.0)
 
 
 @dataclass(frozen=True)

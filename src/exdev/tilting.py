@@ -20,7 +20,7 @@ import numpy as np
 
 from . import quadrature
 from .densities import LightTailDensity, PsiFunction
-from .errors import DomainError, NotSolvable, BracketFail
+from .errors import BracketFail, DomainError, NotSolvable, OutOfRange
 
 __all__ = [
     "M6_STANDARD_NORMAL", "CumulantTriple", "TiltedDensity", "AbelianReport",
@@ -132,7 +132,8 @@ def invert_m(d: LightTailDensity, a: float, *, rel_tol: float = 1e-12,
 
     Initial guess t0 = h(a) (exact to leading order at extreme levels),
     bracket by doubling/halving, then safeguarded Newton with s2 = m' and
-    bisection fallback.  Raises NotSolvable when a is below the base mean.
+    bisection fallback.  Raises NotSolvable when a is below the base mean
+    and OutOfRange when it is above m(t_cap).
     """
     if not (math.isfinite(a) and a > 0.0):
         raise DomainError("target mean must be positive and finite")
@@ -166,16 +167,21 @@ def _solve_mean(m_s2: Callable[[float], tuple[float, float]], a: float,
 
     Brackets from the guess t0 by doubling/halving (at_zero stands in for
     m_s2(0.0)), starts at the bracket end closer to a, then runs Newton
-    steps that fall back to bisection when they leave the bracket.
+    steps that fall back to bisection when they leave the bracket.  Raises
+    OutOfRange, naming m(t_cap), when a lies above it.
     """
     lo, hi = 0.0, t0
     c_hi = m_s2(hi)
     grow = 0
     while c_hi[0] < a:
+        if hi >= t_cap:
+            raise OutOfRange(
+                f"level {a!r} is beyond the largest reachable level "
+                f"m(t_cap) = {c_hi[0]!r} (tilt cap t_cap = {t_cap:g})")
         lo = hi
-        hi *= 2.0
+        hi = min(2.0 * hi, t_cap)
         grow += 1
-        if hi > t_cap or grow > 120:
+        if grow > 120:
             raise BracketFail("could not bracket the tilt from above")
         c_hi = m_s2(hi)
     # lo currently has m(lo) < a unless t0 overshot on the first try
