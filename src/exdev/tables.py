@@ -84,9 +84,9 @@ class CdfTable:
         i += hit
         np.take(self.wide, j, out=hit)
         if hit.any():
+            # bucket K (u = 1) is never wide, so u < F[-1] here
             k = np.flatnonzero(hit)
-            i[k] = np.minimum(np.searchsorted(self.F, u[k], "right") - 1,
-                              self.F.size - 2)
+            i[k] = np.searchsorted(self.F, u[k], "right") - 1
         c0, c1, c2, c3 = self.c
         np.take(self.F, i, out=s)
         np.subtract(u, s, out=s)

@@ -146,6 +146,28 @@ def test_version_flag(capsys):
     assert "exdev 0.1.0 (report schema 1)" in capsys.readouterr().out
 
 
+def test_unreachable_level_is_out_of_range(capsys):
+    # m(t) ~ 1 + log t for double-exp, so levels above m(1e10) = 24.03 need
+    # a tilt beyond the cap
+    code, _, err = run_cli(["tail", "--density", "double-exp", "--n", "10",
+                            "--a", "30"], capsys)
+    assert code == 2
+    assert err.startswith("ERROR OUT_OF_RANGE:")
+    assert "24.02" in err
+    code, _, _ = run_cli(["tail", "--density", "double-exp", "--n", "10",
+                          "--a", "20"], capsys)
+    assert code == 0
+
+
+def test_import_does_not_load_scipy_stats():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, exdev; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "exdev", "--version"],
                           capture_output=True, text=True)

@@ -12,6 +12,7 @@ from scipy.special import digamma, erf, polygamma
 from exdev import (
     DomainError,
     NotSolvable,
+    OutOfRange,
     abelian_check,
     cumulants,
     growth_report,
@@ -142,6 +143,13 @@ def test_invert_m_approaches_h_at_extreme_levels(weibull3):
 def test_invert_m_rejects_subcritical_target(weibull2):
     with pytest.raises(NotSolvable):
         invert_m(weibull2, 0.5 * density_mean(weibull2))
+
+
+def test_invert_m_names_largest_reachable_level(dexp):
+    top = cumulants(dexp, 1e10).m
+    assert invert_m(dexp, 0.5 * top).m == pytest.approx(0.5 * top, rel=1e-9)
+    with pytest.raises(OutOfRange, match=repr(top)):
+        invert_m(dexp, top + 1.0)
 
 
 @given(st.floats(min_value=0.2, max_value=50.0))
