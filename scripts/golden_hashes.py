@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """sha256 of the golden CLI outputs, to show a change keeps them byte-identical.
 
-Runs eight experiments from this checkout's src/ in a fresh empty temporary
+Runs twelve experiments from this checkout's src/ in a fresh empty temporary
 directory, each with `--out golden/<name>` (the out path is part of the
 report), and prints one `<sha256>  <file>` line per output file.  run0-run4
 are the five runs of acceptance criterion 11, in order; edge, gtv and lvl
-cover the edgeworth, gibbs-tv and levelset experiments.  Run it on two
-commits and diff the output.
+cover the edgeworth, gibbs-tv and levelset experiments; cust and cgtv use a
+custom term list (cgtv through the generic pair kernel), dexp the
+double-exponential density and sqrt the signed-sqrt level-set marginal.
+Run it on two commits and diff the output.
 """
 
 import hashlib
@@ -34,6 +36,17 @@ RUNS = {
             "8,16", "--chains", "64", "--steps", "320", "--burn-in", "160"],
     "lvl": ["levelset", "--density", "weibull", "--k", "3", "--f", "linear",
             "--dim", "3", "--a", "8", "--count", "4000", "--seed", "2"],
+    "cust": ["tilt", "--density", "custom", "--terms",
+             "power:1:1.5,log:-0.5,exp:0.2:0.5", "--class", "infinity",
+             "--t-count", "7"],
+    "cgtv": ["gibbs-tv", "--density", "custom", "--terms",
+             "power:1:2.5,exp:0.1:0.5", "--class", "infinity", "--n-list", "8",
+             "--chains", "64", "--steps", "320", "--burn-in", "160"],
+    "dexp": ["tail", "--density", "double-exp", "--n", "10", "--a", "5",
+             "--is-samples", "100000", "--threads", "2"],
+    "sqrt": ["levelset", "--density", "weibull", "--k", "3", "--f", "norm2",
+             "--marginal", "signed-sqrt", "--a", "3", "--count", "4000",
+             "--seed", "2"],
 }
 
 

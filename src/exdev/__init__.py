@@ -9,8 +9,8 @@ SCHEMA_VERSION = "1"
 
 from .densities import (ClassReport, ClassTag, ExpTerm, LightTailDensity,
                         LogTerm, PowerTerm, PsiFunction, class_epsilon,
-                        density_from_terms, double_exp, make_density, psi,
-                        verify_class, weibull)
+                        density_from_terms, double_exp, psi, verify_class,
+                        weibull)
 from .tilting import (AbelianReport, CumulantTriple, GrowthReport,
                       TiltedDensity, abelian_check, cumulants, growth_report,
                       invert_m, log_mgf, self_neglect_check, tilt_at,
@@ -43,7 +43,7 @@ __all__ = [
     # densities
     "ClassReport", "ClassTag", "ExpTerm", "LightTailDensity", "LogTerm",
     "PowerTerm", "PsiFunction", "class_epsilon", "density_from_terms",
-    "double_exp", "make_density", "psi", "verify_class", "weibull",
+    "double_exp", "psi", "verify_class", "weibull",
     # tilting
     "AbelianReport", "CumulantTriple", "GrowthReport", "TiltedDensity",
     "abelian_check", "cumulants", "growth_report", "invert_m", "log_mgf",

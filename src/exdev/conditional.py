@@ -97,10 +97,6 @@ class ConditionalSample:
     seed: int = 0
     meta: dict = field(default_factory=dict)
 
-    @property
-    def first_coordinate(self) -> np.ndarray:
-        return self.coords[:, 0]
-
     def tv_blocks(self):
         """(values grouped by resampling unit, per-unit weights or None)."""
         if self.pooled is not None:
@@ -149,7 +145,7 @@ class _PairKernel:
         self.d = d
         v = _V_GRID
         self.v = v
-        separable = d.q is None and d.terms is not None and all(
+        separable = d.q is None and all(
             isinstance(t, (PowerTerm, LogTerm)) for t in d.terms)
         self.separable = separable
         if separable:
@@ -220,8 +216,6 @@ def sample_point_conditional(d: LightTailDensity, cond: ConditionDescriptor,
     if cond.kind != "point":
         raise DomainError("point sampler needs a point descriptor")
     n, a = cond.n, cond.a_n
-    if not (0.0 < a < float("inf")):
-        raise InfeasibleStart("a_n must sit inside the support")
     if d.log_pdf(a) == -math.inf:
         raise InfeasibleStart("density vanishes at the starting level a_n")
     if stride is None:
@@ -276,10 +270,13 @@ def sample_point_conditional(d: LightTailDensity, cond: ConditionDescriptor,
 # ---------------------------------------------------------------------------
 # exceedance sampler
 
+# proposal rows per exceedance block (capped at 4 count, at least 1024)
+BLOCK_ROWS = 65536
+
+
 def sample_exceedance_conditional(d: LightTailDensity,
                                   cond: ConditionDescriptor, count: int,
-                                  seed: int = 0, keep_coords: int = 1,
-                                  block_rows: int = 65536,
+                                  seed: int = 0,
                                   max_proposals: int = 400_000_000
                                   ) -> ConditionalSample:
     """Weighted iid draws from the law of (X_1..X_n) given sum >= n a_n.
@@ -288,8 +285,9 @@ def sample_exceedance_conditional(d: LightTailDensity,
     clears the level, and weights each kept row by exp(-t (sum - level)).
     Acceptance should sit near 1/2 (the tilted sum is centered exactly at
     the boundary); below 1e-4 the tilt is wrong or the budget hopeless and
-    LowAcceptance is raised.  Stores per-row min and max so window checks
-    over all coordinates need no full states.
+    LowAcceptance is raised.  Keeps the first coordinate of each row, plus
+    per-row min and max so window checks over all coordinates need no full
+    states.
     """
     if cond.kind != "exceedance":
         raise DomainError("exceedance sampler needs an exceedance descriptor")
@@ -298,12 +296,11 @@ def sample_exceedance_conditional(d: LightTailDensity,
     table = sampler_tilted(td)
     rng = np.random.default_rng(seed)
     level = n * a
-    keep = max(1, min(keep_coords, n))
 
     got = 0
     proposed = 0
     parts_c, parts_s, parts_mn, parts_mx = [], [], [], []
-    rows = max(1024, min(block_rows, 4 * count))
+    rows = max(1024, min(BLOCK_ROWS, 4 * count))
     while got < count:
         if proposed > max_proposals:
             raise LowAcceptance(
@@ -314,7 +311,7 @@ def sample_exceedance_conditional(d: LightTailDensity,
         proposed += rows
         if hit.any():
             kept = block[hit]
-            parts_c.append(kept[:, :keep].copy())
+            parts_c.append(kept[:, :1].copy())
             parts_s.append(s[hit])
             parts_mn.append(kept.min(axis=1))
             parts_mx.append(kept.max(axis=1))
@@ -372,8 +369,11 @@ def _reference_bin_masses(pdf: Callable, edges: np.ndarray) -> np.ndarray:
     return (vals * w[None, :]).sum(axis=1) * h
 
 
-def marginal_tv(sample: ConditionalSample, reference, bins: Optional[int] = None,
-                bootstrap: int = 200, seed: int = 7) -> TVEstimate:
+TV_BOOTSTRAP = 200
+
+
+def marginal_tv(sample: ConditionalSample, reference,
+                seed: int = 7) -> TVEstimate:
     """Total variation between the sample's coordinate marginal and a
     reference law with a vectorized .pdf (tilted density or the second-order
     reference).
@@ -382,8 +382,8 @@ def marginal_tv(sample: ConditionalSample, reference, bins: Optional[int] = None
     reference bin masses by per-bin Simpson quadrature; reference mass
     falling outside the binned range counts in full.  The interval is a
     percentile bootstrap over resampling units (chains for pooled Gibbs
-    output, rows for weighted iid output), clamped to bracket the point
-    estimate.
+    output, rows for weighted iid output) with TV_BOOTSTRAP replicates,
+    clamped to bracket the point estimate.
     """
     ref_pdf = reference.pdf if hasattr(reference, "pdf") else reference
     blocks, weights = sample.tv_blocks()
@@ -393,7 +393,7 @@ def marginal_tv(sample: ConditionalSample, reference, bins: Optional[int] = None
     lo_q, hi_q = np.percentile(flat, [0.01, 99.99])
     pad = 0.05 * (hi_q - lo_q) + 1e-12
     lo, hi = max(0.0, lo_q - pad), hi_q + pad
-    nb = bins if bins is not None else _fd_bin_count(flat, lo, hi)
+    nb = _fd_bin_count(flat, lo, hi)
     edges = np.linspace(lo, hi, nb + 1)
     ref_mass = _reference_bin_masses(ref_pdf, edges)
     ref_out = max(0.0, 1.0 - ref_mass.sum())
@@ -405,14 +405,14 @@ def marginal_tv(sample: ConditionalSample, reference, bins: Optional[int] = None
         return 0.5 * (np.abs(hist[:nb] / total - ref_mass).sum()
                       + hist[nb] / total + ref_out)
 
-    draws = np.empty(bootstrap)
+    draws = np.empty(TV_BOOTSTRAP)
     if weights is None and blocks.shape[1] == 1:
         # iid scalar draws: bootstrap = multinomial resample of the histogram
         counts, _ = np.histogram(blocks[:, 0], bins=edges)
         size = flat.size
         hist = np.append(counts, size - counts.sum())
         tv = tv_of(hist, size)
-        for b in range(bootstrap):
+        for b in range(TV_BOOTSTRAP):
             draws[b] = tv_of(rng.multinomial(size, hist / size), size)
     elif weights is None:
         # pooled Gibbs output: one histogram per chain, bootstrap over chains
@@ -422,7 +422,7 @@ def marginal_tv(sample: ConditionalSample, reference, bins: Optional[int] = None
             per_unit[r, :nb], _ = np.histogram(blocks[r], bins=edges)
             per_unit[r, nb] = blocks[r].size - per_unit[r, :nb].sum()
         tv = tv_of(per_unit.sum(axis=0), flat.size)
-        for b in range(bootstrap):
+        for b in range(TV_BOOTSTRAP):
             pick = rng.integers(0, units, units)
             cnt = per_unit[pick].sum(axis=0)
             draws[b] = tv_of(cnt, cnt.sum())
@@ -433,7 +433,7 @@ def marginal_tv(sample: ConditionalSample, reference, bins: Optional[int] = None
         idx = np.searchsorted(edges, vals, side="right") - 1
         bin_of = np.where((idx >= 0) & (idx < nb), idx, nb)
         tv = tv_of(np.bincount(bin_of, weights, nb + 1), weights.sum())
-        for b in range(bootstrap):
+        for b in range(TV_BOOTSTRAP):
             pick = rng.integers(0, size, size)
             w = weights[pick]
             draws[b] = tv_of(np.bincount(bin_of[pick], w, nb + 1), w.sum())
@@ -459,11 +459,15 @@ class GibbsLocalReport:
     sample_size: int
 
 
+# the KDE thins the pooled draws to at most this many points
+MAX_KDE_POINTS = 400_000
+
+
 def gibbs_local_check(d: LightTailDensity, cond: ConditionDescriptor,
                       y_grid, sample: Optional[ConditionalSample] = None,
                       chains: int = 256, steps: Optional[int] = None,
-                      burn_in: Optional[int] = None, seed: int = 0,
-                      max_kde_points: int = 400_000) -> GibbsLocalReport:
+                      burn_in: Optional[int] = None,
+                      seed: int = 0) -> GibbsLocalReport:
     """KDE of the point-conditional first-coordinate marginal divided by the
     tilted density on y_grid, with rough normal-approximation bands.
 
@@ -478,8 +482,8 @@ def gibbs_local_check(d: LightTailDensity, cond: ConditionDescriptor,
                                           pool_all=True)
     blocks, _ = sample.tv_blocks()
     vals = blocks.ravel()
-    if vals.size > max_kde_points:
-        stride = vals.size // max_kde_points + 1
+    if vals.size > MAX_KDE_POINTS:
+        stride = vals.size // MAX_KDE_POINTS + 1
         vals = vals[::stride]
     m = vals.size
     sd = vals.std()
@@ -567,7 +571,7 @@ def second_order_reference(d: LightTailDensity, n: int,
         peak = hi
     else:
         peak = brentq(Lp, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    log_z = log_integral(L, x_peak=float(peak), lo=0.0)
+    log_z = log_integral(L, x_peak=float(peak))
     return SecondOrderReference(density=d, n=n, a_n=a_n, t=td.t,
                                 log_phi=log_phi, sigma2=sigma2, log_norm=log_z)
 

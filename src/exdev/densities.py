@@ -34,9 +34,13 @@ from .errors import (
 __all__ = [
     "ClassTag", "GTerm", "PowerTerm", "LogTerm", "ExpTerm",
     "LightTailDensity", "PsiFunction", "ClassCheck", "ClassReport",
-    "make_density", "density_from_terms", "weibull", "double_exp",
+    "density_from_terms", "weibull", "double_exp",
     "psi", "verify_class", "class_epsilon",
 ]
+
+# left end of the regular region: psi is defined on h(x) >= h(X_MIN_REGULAR)
+X_MIN_REGULAR = 1.0
+PSI_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -45,7 +49,6 @@ class ClassTag:
 
     kind: str
     beta: Optional[float] = None
-    eta: float = 0.1  # exponent for the infinity-class lower-bound check
 
     def __post_init__(self) -> None:
         if self.kind not in ("beta", "infinity"):
@@ -55,8 +58,6 @@ class ClassTag:
                 raise ValidationError("beta class requires an index")
             if self.beta < 0.0:
                 raise ValidationError("beta class index must be nonnegative")
-        if not 0.0 < self.eta < 0.25:
-            raise ValidationError("eta must lie in (0, 1/4)")
 
 
 # ---------------------------------------------------------------------------
@@ -134,17 +135,13 @@ class ExpTerm(GTerm):
     def d3(self, x): return self.coef * self.rate ** 3 * np.exp(self.rate * x)
 
 
-def _sum_terms(terms: Sequence[GTerm], order: int):
-    pick = {0: "value", 1: "d1", 2: "d2", 3: "d3"}[order]
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        out = getattr(terms[0], pick)(x)
-        for t in terms[1:]:
-            out = out + getattr(t, pick)(x)
-        return out
-
-    return f
+def _sum_terms(terms: Sequence[GTerm], pick: str, x):
+    """Sum of term.<pick>(x) over the catalog, in catalog order."""
+    x = np.asarray(x, dtype=float)
+    out = getattr(terms[0], pick)(x)
+    for t in terms[1:]:
+        out = out + getattr(t, pick)(x)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -154,35 +151,35 @@ def _sum_terms(terms: Sequence[GTerm], order: int):
 class LightTailDensity:
     """Immutable density model; safe to share across threads.
 
-    g, g_prime, g_second (and optionally g_third) are vectorized callables on
-    x > 0.  log_c is the quadrature-computed log normalizer.  q, when present,
-    is the bounded perturbation (checked by verify_class, not enforced here).
+    g is the sum of the term catalog `terms`; g and its first three
+    derivatives are vectorized on x > 0.  log_c is the quadrature-computed
+    log normalizer.  q, when present, is the bounded perturbation (checked by
+    verify_class, not enforced here).
     """
 
-    g: Callable
-    g_prime: Callable
-    g_second: Callable
-    log_c: float
+    terms: tuple[GTerm, ...]
     class_tag: ClassTag
+    log_c: float
     q: Optional[Callable] = None
-    g_third: Optional[Callable] = None
-    x_min_regular: float = 1.0
     psi_seed: Optional[Callable] = None
     psi_closed: Optional[Callable] = None
-    terms: Optional[tuple[GTerm, ...]] = None
     name: str = "custom"
 
+    def g(self, x):
+        return _sum_terms(self.terms, "value", x)
+
+    def g_prime(self, x):
+        return _sum_terms(self.terms, "d1", x)
+
+    def g_second(self, x):
+        return _sum_terms(self.terms, "d2", x)
+
+    def g_third(self, x):
+        return _sum_terms(self.terms, "d3", x)
+
     # h is the name the tilting layer uses for the exponent slope: h := g'
-    def h(self, x):
-        return self.g_prime(x)
-
-    def h_prime(self, x):
-        return self.g_second(x)
-
-    def h_second(self, x):
-        if self.g_third is None:
-            return None
-        return self.g_third(x)
+    h = g_prime
+    h_prime = g_second
 
     def exponent(self, x):
         """-(g(x) - q(x)), the log density without the normalizer."""
@@ -208,43 +205,29 @@ class LightTailDensity:
         return f"LightTailDensity({self.name}, class={self.class_tag.kind})"
 
 
-def make_density(g, g_prime, g_second, *, class_tag: ClassTag, q=None,
-                 g_third=None, x_min_regular: float = 1.0, psi_seed=None,
-                 psi_closed=None, terms=None, name: str = "custom",
-                 ) -> LightTailDensity:
-    """Build a density, computing the normalizer by quadrature."""
+def density_from_terms(terms: Sequence[GTerm], *, class_tag: ClassTag,
+                       q=None, psi_seed=None, psi_closed=None,
+                       name: str = "custom") -> LightTailDensity:
+    """Density with g = sum of terms, its normalizer computed by quadrature."""
+    terms = tuple(terms)
+    if not terms:
+        raise ValidationError("empty exponent catalog")
 
     def q_scalar(x: float) -> float:
         return float(q(x)) if q is not None else 0.0
 
     def L(x: float) -> float:
-        v = -float(g(x)) + q_scalar(x)
+        v = -float(_sum_terms(terms, "value", x)) + q_scalar(x)
         return v if math.isfinite(v) else -math.inf
 
     def h_scalar(x: float) -> float:
-        return float(g_prime(x))
+        return float(_sum_terms(terms, "d1", x))
 
-    peak = quadrature.exponent_peak(h_scalar, 0.0, max(x_min_regular, 1.0))
-    log_mass = quadrature.log_integral(L, peak, lo=0.0)
+    peak = quadrature.exponent_peak(h_scalar, 0.0, X_MIN_REGULAR)
+    log_mass = quadrature.log_integral(L, peak)
     return LightTailDensity(
-        g=g, g_prime=g_prime, g_second=g_second, log_c=-log_mass,
-        class_tag=class_tag, q=q, g_third=g_third,
-        x_min_regular=x_min_regular, psi_seed=psi_seed,
-        psi_closed=psi_closed,
-        terms=tuple(terms) if terms is not None else None, name=name)
-
-
-def density_from_terms(terms: Sequence[GTerm], *, class_tag: ClassTag,
-                       q=None, x_min_regular: float = 1.0, psi_seed=None,
-                       psi_closed=None, name: str = "custom") -> LightTailDensity:
-    terms = tuple(terms)
-    if not terms:
-        raise ValidationError("empty exponent catalog")
-    return make_density(
-        _sum_terms(terms, 0), _sum_terms(terms, 1), _sum_terms(terms, 2),
-        class_tag=class_tag, q=q, g_third=_sum_terms(terms, 3),
-        x_min_regular=x_min_regular, psi_seed=psi_seed,
-        psi_closed=psi_closed, terms=terms, name=name)
+        terms=terms, class_tag=class_tag, log_c=-log_mass, q=q,
+        psi_seed=psi_seed, psi_closed=psi_closed, name=name)
 
 
 def weibull(k: float, q=None) -> LightTailDensity:
@@ -285,13 +268,13 @@ def double_exp(q=None) -> LightTailDensity:
 # inverse of h
 
 
-def _psi_scalar(d: LightTailDensity, u: float, rel_tol: float) -> float:
+def _psi_scalar(d: LightTailDensity, u: float) -> float:
     h = lambda x: float(d.g_prime(x))
-    lo = d.x_min_regular
+    lo = X_MIN_REGULAR
     h_lo = h(lo)
     if u < h_lo - abs(h_lo) * 1e-12 - 1e-300:
         raise OutOfRange(
-            f"u={u!r} below h(x_min_regular)={h_lo!r}; psi is defined on the "
+            f"u={u!r} below h(X_MIN_REGULAR)={h_lo!r}; psi is defined on the "
             "regular region only")
     if u <= h_lo:
         return lo
@@ -315,12 +298,12 @@ def _psi_scalar(d: LightTailDensity, u: float, rel_tol: float) -> float:
         raise NonMonotone("psi bracket expansion failed")
     root = brentq(lambda x: h(x) - u, prev, hi, xtol=1e-300, rtol=8.9e-16)
     root = float(root)
-    if abs(h(root) - u) > rel_tol * max(abs(u), 1.0):
+    if abs(h(root) - u) > PSI_REL_TOL * max(abs(u), 1.0):
         raise NonMonotone("psi root did not meet the residual tolerance")
     return root
 
 
-def psi(d: LightTailDensity, u, *, rel_tol: float = 1e-10):
+def psi(d: LightTailDensity, u):
     """Generalized inverse of h on the regular region: inf{x : h(x) >= u}.
 
     Uses the closed form when the density carries one, otherwise bracketed
@@ -328,14 +311,14 @@ def psi(d: LightTailDensity, u, *, rel_tol: float = 1e-10):
     """
     u_arr = np.asarray(u, dtype=float)
     if d.psi_closed is not None:
-        h0 = float(d.g_prime(d.x_min_regular * 1e-12))  # support edge value
+        h0 = float(d.g_prime(X_MIN_REGULAR * 1e-12))  # support edge value
         if np.any(u_arr < h0):
             raise OutOfRange("u below the range of h")
         out = np.asarray(d.psi_closed(u_arr), dtype=float)
         return out[()] if out.ndim == 0 else out
     out = np.empty(u_arr.shape, dtype=float)
     for idx, val in np.ndenumerate(u_arr):
-        out[idx] = _psi_scalar(d, float(val), rel_tol)
+        out[idx] = _psi_scalar(d, float(val))
     return out[()] if out.ndim == 0 else out
 
 
@@ -343,9 +326,7 @@ def psi(d: LightTailDensity, u, *, rel_tol: float = 1e-10):
 class PsiFunction:
     """psi = h^{-1} with first and second derivatives.
 
-    psi'(u) = 1/h'(psi(u)); psi''(u) = -h''(psi(u))/h'(psi(u))^3.  When the
-    density has no analytic third derivative the second derivative falls back
-    to a central difference of psi'.
+    psi'(u) = 1/h'(psi(u)); psi''(u) = -h''(psi(u))/h'(psi(u))^3.
     """
 
     density: LightTailDensity
@@ -360,14 +341,10 @@ class PsiFunction:
     def second(self, u):
         d = self.density
         x = psi(d, u)
-        if d.g_third is not None:
-            h1 = np.asarray(d.g_second(x), dtype=float)
-            h2 = np.asarray(d.g_third(x), dtype=float)
-            out = -h2 / h1 ** 3
-            return out[()] if out.ndim == 0 else out
-        u_arr = np.asarray(u, dtype=float)
-        step = np.maximum(1e-5 * np.abs(u_arr), 1e-8)
-        return (self.prime(u_arr + step) - self.prime(u_arr - step)) / (2.0 * step)
+        h1 = np.asarray(d.g_second(x), dtype=float)
+        h2 = np.asarray(d.g_third(x), dtype=float)
+        out = -h2 / h1 ** 3
+        return out[()] if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +401,22 @@ def _fd2(f, x, rel_step: float):
     return (f(x + hstep) - 2.0 * f(x) + f(x - hstep)) / hstep ** 2
 
 
-def verify_class(d: LightTailDensity, grid, *, theta: float = 0.1,
-                 fd_rel_step: float = 1e-5, deriv_bound: float = 100.0,
-                 eps_floor: float = 0.01) -> ClassReport:
+# verify_class settings: the perturbation neighbourhood |v/x - 1| <= THETA,
+# the relative step of the eps differences, the bound on x eps' and x^2 eps'',
+# and the infinity-class floor x^ETA eps(x) > EPS_FLOOR
+THETA = 0.1
+FD_REL_STEP = 1e-5
+DERIV_BOUND = 100.0
+ETA = 0.1
+EPS_FLOOR = 0.01
+
+
+def verify_class(d: LightTailDensity, grid) -> ClassReport:
     """Numerical proxies for the declared regularity class; report-only.
 
     grid: increasing points inside the regular region.  For the beta class
     these are x values; for the infinity class they are arguments of psi (so
-    they must sit above h(x_min_regular)).  Violations are flagged in the
+    they must sit above h(X_MIN_REGULAR)).  Violations are flagged in the
     report, never raised.
     """
     grid = np.asarray(grid, dtype=float)
@@ -465,8 +450,8 @@ def verify_class(d: LightTailDensity, grid, *, theta: float = 0.1,
 
     eps = lambda x: np.asarray(class_epsilon(d, x), dtype=float)
     e = eps(grid)
-    e1 = _fd(eps, grid, fd_rel_step)
-    e2 = _fd2(eps, grid, fd_rel_step)
+    e1 = _fd(eps, grid, FD_REL_STEP)
+    e2 = _fd2(eps, grid, FD_REL_STEP)
 
     if d.class_tag.kind == "beta":
         v1 = np.abs(grid * e1)
@@ -476,10 +461,10 @@ def verify_class(d: LightTailDensity, grid, *, theta: float = 0.1,
             bool(abs(e[-1]) <= abs(e[0]) + 1e-12 and abs(e[-1]) < 0.5),
             {"eps_first": float(e[0]), "eps_last": float(e[-1])}))
         checks.append(ClassCheck(
-            "x_eps_prime_bounded", bool(np.all(np.isfinite(v1)) and v1.max() <= deriv_bound),
+            "x_eps_prime_bounded", bool(np.all(np.isfinite(v1)) and v1.max() <= DERIV_BOUND),
             {"max_x_eps_prime": float(v1.max())}))
         checks.append(ClassCheck(
-            "x2_eps_second_bounded", bool(np.all(np.isfinite(v2)) and v2.max() <= deriv_bound),
+            "x2_eps_second_bounded", bool(np.all(np.isfinite(v2)) and v2.max() <= DERIV_BOUND),
             {"max_x2_eps_second": float(v2.max())}))
     else:
         pf = PsiFunction(d)
@@ -498,18 +483,18 @@ def verify_class(d: LightTailDensity, grid, *, theta: float = 0.1,
             "index_ratio2_to_zero",
             bool(abs(r2[-1]) <= abs(r2[0]) + 1e-12 and abs(r2[-1]) < 0.5),
             {"first": float(r2[0]), "last": float(r2[-1])}))
-        floor_vals = grid ** d.class_tag.eta * e
+        floor_vals = grid ** ETA * e
         checks.append(ClassCheck(
-            "eps_power_lower_bound", bool(floor_vals.min() > eps_floor),
-            {"min": float(floor_vals.min()), "eta": d.class_tag.eta}))
+            "eps_power_lower_bound", bool(floor_vals.min() > EPS_FLOOR),
+            {"min": float(floor_vals.min()), "eta": ETA}))
 
     if d.q is not None:
         worst = 0.0
         for x in x_grid:
             bound = 1.0 / math.sqrt(x * float(d.g_prime(x)))
-            for v in np.linspace(x * (1.0 - theta) + 1e-12, x * (1.0 + theta), 7):
+            for v in np.linspace(x * (1.0 - THETA) + 1e-12, x * (1.0 + THETA), 7):
                 worst = max(worst, abs(float(d.q(v))) / bound)
         checks.append(ClassCheck("perturbation_bound", worst <= 1.0 + 1e-9,
-                                 {"worst_ratio": worst, "theta": theta}))
+                                 {"worst_ratio": worst, "theta": THETA}))
 
     return ClassReport(density=d.name, kind=d.class_tag.kind, checks=tuple(checks))

@@ -58,6 +58,9 @@ class Marginal1D:
     def log_pdf(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "positive":
+            if np.any(x < 0.0):  # outside the support: zero density
+                return np.where(x < 0.0, -np.inf,
+                                self.base.log_pdf(np.abs(x)))
             return self.base.log_pdf(x)
         ax = np.abs(x)
         with np.errstate(divide="ignore"):
@@ -141,53 +144,34 @@ def f_catalog(name: str, dim: int,
 # ---------------------------------------------------------------------------
 # pushforward of the ambient law through f, reduced to scalar densities
 
-def _square_law(base: LightTailDensity) -> LightTailDensity:
-    """Law of Y^2 when Y ~ base, via term surgery on the exponent."""
-    if base.terms is None or base.q is not None:
+def _power_law(base: LightTailDensity, r: float) -> LightTailDensity:
+    """Law of Y^r when Y ~ base, via term surgery on the exponent.
+
+    Z = Y^r has density p(z^(1/r)) z^(1/r - 1) / r, so each power exponent
+    and log coefficient of g is divided by r and the Jacobian adds
+    (1 - 1/r) log z.
+    """
+    if base.q is not None:
         raise PushforwardUnsolvable(
-            "square law needs an explicit power/log term representation")
+            f"law of Y^{r:g} needs an unperturbed power/log exponent")
     terms = []
-    log_coef = 0.5  # from the 1/(2 sqrt(z)) Jacobian
+    log_coef = 1.0 - 1.0 / r
     for t in base.terms:
         if isinstance(t, PowerTerm):
-            terms.append(PowerTerm(t.coef, t.exponent / 2.0))
+            terms.append(PowerTerm(t.coef, t.exponent / r))
         elif isinstance(t, LogTerm):
-            log_coef += 0.5 * t.coef
+            log_coef += t.coef / r
         else:
             raise PushforwardUnsolvable(
-                "square law undefined for exponential exponent terms")
+                f"law of Y^{r:g} undefined for exponential exponent terms")
     if not terms or max(t.exponent for t in terms) <= 1.0:
         raise PushforwardUnsolvable(
-            "squared law is not light-tailed: leading exponent <= 1")
+            f"law of Y^{r:g} is not light-tailed: leading exponent <= 1")
     if log_coef:
         terms.append(LogTerm(log_coef))
     beta = max(t.exponent for t in terms if isinstance(t, PowerTerm)) - 1.0
     return density_from_terms(terms, class_tag=ClassTag("beta", beta),
-                              name=f"square_of_{base.name}")
-
-
-def _sqrt_law(base: LightTailDensity) -> LightTailDensity:
-    """Law of sqrt(Y) when Y ~ base: density 2 z p(z^2)."""
-    if base.terms is None or base.q is not None:
-        raise PushforwardUnsolvable(
-            "sqrt law needs an explicit power/log term representation")
-    terms = []
-    log_coef = -1.0  # from the 2 z Jacobian
-    for t in base.terms:
-        if isinstance(t, PowerTerm):
-            terms.append(PowerTerm(t.coef, 2.0 * t.exponent))
-        elif isinstance(t, LogTerm):
-            log_coef += 2.0 * t.coef
-        else:
-            raise PushforwardUnsolvable(
-                "sqrt law undefined for exponential exponent terms")
-    if not terms:
-        raise PushforwardUnsolvable("sqrt law lost every power term")
-    if log_coef:
-        terms.append(LogTerm(log_coef))
-    beta = max(t.exponent for t in terms if isinstance(t, PowerTerm)) - 1.0
-    return density_from_terms(terms, class_tag=ClassTag("beta", beta),
-                              name=f"sqrt_of_{base.name}")
+                              name=f"pow{r:g}_of_{base.name}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,14 +238,15 @@ def pushforward_model(ambient: AmbientLaw, f: FSpec) -> PushforwardModel:
     if f.name == "sumsq":
         if marg.kind == "signed_sqrt":
             return PushforwardModel(scalar=marg.base, mult=d)
-        return PushforwardModel(scalar=_square_law(marg.base), mult=d)
+        return PushforwardModel(scalar=_power_law(marg.base, 2.0), mult=d)
     if f.name == "norm2":
         if d != 1:
             raise PushforwardUnsolvable(
                 "norm2 reduces to one dimension only; use sumsq and take "
                 "square roots downstream")
         if marg.kind == "signed_sqrt":
-            return PushforwardModel(scalar=_sqrt_law(marg.base), mult=1)
+            return PushforwardModel(scalar=_power_law(marg.base, 0.5),
+                                    mult=1)
         # norm of one positive coordinate is the coordinate itself
         return PushforwardModel(scalar=marg.base, mult=1)
     if f.name == "linear":
@@ -310,10 +295,7 @@ def f_tilted_density(ambient, f, a: float) -> FTiltedLaw:
     if isinstance(f, str):
         f = f_catalog(f, ambient.dim)
     model = pushforward_model(ambient, f)
-    try:
-        t = model.solve(a)
-    except NotSolvable as exc:
-        raise PushforwardUnsolvable(f"tilt level unreachable: {exc}") from exc
+    t = model.solve(a)
     return FTiltedLaw(ambient=ambient, f=f, a=a, t=t,
                       log_phi_f=model.log_phi(t), model=model)
 
@@ -338,13 +320,19 @@ def _init_state(law: FTiltedLaw, chains: int,
     return base
 
 
+# Metropolis thinning, and the share of sign-flip moves on even marginals
+MH_THIN = 5
+SIGN_FLIP_PROB = 0.2
+
+
 def mh_sample(law: FTiltedLaw, count: int, seed: int = 0, chains: int = 256,
-              burn: int = 2000, thin: int = 5, sign_flip_prob: float = 0.2):
+              burn: int = 2000):
     """Random-walk Metropolis draws from the f-tilted law.
 
-    Step size adapts toward 0.234 acceptance during burn-in.  For even
-    product marginals a coordinate sign-flip move is mixed in, which hops
-    between the mirrored modes without touching the radial profile.
+    Step size adapts toward 0.234 acceptance during burn-in; every MH_THIN-th
+    state after it is kept.  For even product marginals a coordinate
+    sign-flip move is mixed in, which hops between the mirrored modes without
+    touching the radial profile.
     Returns (points (count, dim), f_values, acceptance_rate).
     """
     rng = np.random.default_rng(seed)
@@ -358,9 +346,9 @@ def mh_sample(law: FTiltedLaw, count: int, seed: int = 0, chains: int = 256,
     proposed = 0
     keep = []
     needed = max(1, math.ceil(count / chains))
-    total = burn + needed * thin
+    total = burn + needed * MH_THIN
     for step in range(total):
-        if even and rng.random() < sign_flip_prob:
+        if even and rng.random() < SIGN_FLIP_PROB:
             j = int(rng.integers(d))
             prop = x.copy()
             prop[:, j] = -prop[:, j]
@@ -379,7 +367,7 @@ def mh_sample(law: FTiltedLaw, count: int, seed: int = 0, chains: int = 256,
             scale = min(max(scale, 1e-6), 1e3)
             accepted = 0
             proposed = 0
-        if step >= burn and (step - burn + 1) % thin == 0:
+        if step >= burn and (step - burn + 1) % MH_THIN == 0:
             keep.append(x.copy())
     pts = np.concatenate(keep, axis=0)[:count]
     fv = law.f.fn(pts)

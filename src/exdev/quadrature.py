@@ -1,11 +1,12 @@
 """Peak-centered quadrature for log-represented integrands on the half line.
 
-Every integral here is of the form integral of exp(L(x)) dx where L has a
-single interior or boundary maximum and decays superlinearly.  The peak value
-is subtracted before exponentiation, the integration window is cut where the
-normalized integrand falls below exp(-drop), and scipy's adaptive quadrature
-runs on the bounded window with the peak registered as a breakpoint.  Values
-are returned on the log scale, so exponents of order 1e5 are routine.
+Every integral here is of the form integral of exp(L(x)) dx over [0, inf)
+where L has a single interior or boundary maximum and decays superlinearly.
+The peak value is subtracted before exponentiation, the integration window is
+cut where the normalized integrand falls below exp(-DROP), and scipy's
+adaptive quadrature runs on the bounded window with the peak registered as a
+breakpoint.  Values are returned on the log scale, so exponents of order 1e5
+are routine.
 """
 
 from __future__ import annotations
@@ -21,12 +22,16 @@ from .errors import Divergent, NumericalError
 
 # exp(-690) is still representable; past ~745 it underflows to 0.
 DROP = 690.0
+BISECT_ITERS = 80
+EPSREL = 1e-11
+# left end of exponent_peak's bracket: h is never evaluated at 0 itself
+PEAK_LO = 1e-12
 
 
 def bisect_drop(L: Callable[[float], float], x_in: float, x_out: float,
-                target: float, iters: int = 80) -> float:
+                target: float) -> float:
     """Point between x_in (L >= target) and x_out (L < target) where L crosses."""
-    for _ in range(iters):
+    for _ in range(BISECT_ITERS):
         mid = 0.5 * (x_in + x_out)
         if mid == x_in or mid == x_out:
             break
@@ -37,9 +42,8 @@ def bisect_drop(L: Callable[[float], float], x_in: float, x_out: float,
     return x_out
 
 
-def window(L: Callable[[float], float], x_peak: float, lo: float = 0.0,
-           drop: float = DROP) -> tuple[float, float]:
-    """[x_lo, x_hi] outside of which exp(L - L(x_peak)) < exp(-drop).
+def window(L: Callable[[float], float], x_peak: float) -> tuple[float, float]:
+    """[x_lo, x_hi] in [0, inf) outside of which exp(L - L(x_peak)) < exp(-DROP).
 
     Raises Divergent when L keeps growing to the right of x_peak, which means
     the supplied peak was not a maximum (e.g. a sub-linear exponent tilted too
@@ -48,15 +52,15 @@ def window(L: Callable[[float], float], x_peak: float, lo: float = 0.0,
     M = L(x_peak)
     if not math.isfinite(M):
         raise NumericalError(f"integrand peak value is not finite at x={x_peak!r}")
-    target = M - drop
+    target = M - DROP
 
-    if x_peak <= lo:
-        x_lo = lo
+    if x_peak <= 0.0:
+        x_lo = 0.0
     else:
-        v = L(lo)
+        v = L(0.0)
         if math.isnan(v):
             v = -math.inf
-        x_lo = lo if v >= target else bisect_drop(L, x_peak, lo, target)
+        x_lo = 0.0 if v >= target else bisect_drop(L, x_peak, 0.0, target)
 
     w = max(1e-6, 1e-3 * (1.0 + abs(x_peak)))
     x = x_peak
@@ -85,13 +89,12 @@ def _quad(f, a: float, b: float, pts, epsrel: float,
     return val
 
 
-def log_integral(L: Callable[[float], float], x_peak: float, lo: float = 0.0,
-                 *, drop: float = DROP, epsrel: float = 1e-11) -> float:
-    """log of integral_lo^inf exp(L(x)) dx."""
-    x_lo, x_hi = window(L, x_peak, lo=lo, drop=drop)
+def log_integral(L: Callable[[float], float], x_peak: float) -> float:
+    """log of integral_0^inf exp(L(x)) dx."""
+    x_lo, x_hi = window(L, x_peak)
     M = L(x_peak)
     # relative accuracy beyond the rounding noise of L is unattainable
-    epsrel = max(epsrel, 1e-14 + 2e-15 * abs(M))
+    epsrel = max(EPSREL, 1e-14 + 2e-15 * abs(M))
     val = _quad(lambda x: math.exp(L(x) - M), x_lo, x_hi, [x_peak], epsrel)
     if not val > 0.0:
         raise NumericalError("quadrature returned a non-positive mass")
@@ -100,7 +103,7 @@ def log_integral(L: Callable[[float], float], x_peak: float, lo: float = 0.0,
 
 @dataclass(frozen=True)
 class LogMoments:
-    """Normalizer and first three central moments of exp(L(x)) on [lo, inf)."""
+    """Normalizer and first three central moments of exp(L(x)) on [0, inf)."""
 
     log_z: float
     mean: float
@@ -108,8 +111,7 @@ class LogMoments:
     mu3: float
 
 
-def moments(L: Callable[[float], float], x_peak: float, lo: float = 0.0,
-            *, drop: float = DROP, epsrel: float = 1e-11) -> LogMoments:
+def moments(L: Callable[[float], float], x_peak: float) -> LogMoments:
     """Mean, variance and third central moment of the density prop. to exp(L).
 
     Odd moments about the center suffer catastrophic cancellation at strong
@@ -120,13 +122,13 @@ def moments(L: Callable[[float], float], x_peak: float, lo: float = 0.0,
     reflection center c from the true mean is removed through the exact
     shift identities for central moments.
     """
-    x_lo, x_hi = window(L, x_peak, lo=lo, drop=drop)
+    x_lo, x_hi = window(L, x_peak)
     M = L(x_peak)
     # forming L at a strong tilt cancels terms of size |L(x_peak)|, leaving
     # relative rounding noise ~eps * |M| in every integrand value; asking
     # quad for more than that just burns subdivisions
     noise = 1e-14 + 2e-15 * abs(M)
-    epsrel = max(epsrel, noise)
+    epsrel = max(EPSREL, noise)
 
     def f(x: float) -> float:
         return math.exp(L(x) - M)
@@ -182,8 +184,8 @@ def moments(L: Callable[[float], float], x_peak: float, lo: float = 0.0,
     return LogMoments(log_z=M + math.log(z), mean=mean, var=var, mu3=mu3)
 
 
-def exponent_peak(h: Callable[[float], float], t: float, x_probe: float,
-                  lo_eps: float = 1e-12) -> float:
+def exponent_peak(h: Callable[[float], float], t: float,
+                  x_probe: float) -> float:
     """Maximizer on [0, inf) of x -> t*x - g(x), where h = g'.
 
     Solves h(x) = t by bracketed bisection/brentq when the root is interior;
@@ -196,7 +198,7 @@ def exponent_peak(h: Callable[[float], float], t: float, x_probe: float,
         v = h(x) - t
         return v if math.isfinite(v) else -math.inf
 
-    a, b = lo_eps, max(x_probe, 2.0 * lo_eps)
+    a, b = PEAK_LO, max(x_probe, 2.0 * PEAK_LO)
     fb = fval(b)
     grow = 0
     while fb < 0.0:

@@ -32,6 +32,9 @@ __all__ = ["CdfTable", "build_cdf_table"]
 
 GUIDE_BUCKETS = 1 << 14
 BLOCK = 1 << 16
+KNOTS = 4096
+# tail cut: the density has fallen by exp(-TAIL_DROP) from its mode there
+TAIL_DROP = 60.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,13 +134,12 @@ def _knot_layout(peak: float, scale: float, lo: float, hi: float,
     return pts[(pts >= lo) & (pts <= hi)]
 
 
-def build_cdf_table(log_pdf: Callable, *, peak: float, scale: float,
-                    lo: float = 0.0, knots: int = 4096,
-                    drop: float = 60.0) -> CdfTable:
-    """Build a CdfTable from a normalized log density.
+def build_cdf_table(log_pdf: Callable, *, peak: float,
+                    scale: float) -> CdfTable:
+    """Build a CdfTable from a normalized log density on [0, inf).
 
     peak and scale are hints: the mode location and a dispersion estimate.
-    drop sets the tail cut where the density has fallen by exp(-drop)
+    The tails are cut where the density has fallen by exp(-TAIL_DROP)
     relative to the mode (mass beyond is far below every tolerance used
     downstream).
     """
@@ -151,9 +153,9 @@ def build_cdf_table(log_pdf: Callable, *, peak: float, scale: float,
     M = L(peak)
     if not math.isfinite(M):
         raise TableBuildFail("log density not finite at the supplied peak")
-    target = M - drop
+    target = M - TAIL_DROP
 
-    x_lo = lo if L(lo) >= target else bisect_drop(L, peak, lo, target)
+    x_lo = 0.0 if L(0.0) >= target else bisect_drop(L, peak, 0.0, target)
     # callers may pass the mean as the peak hint, so L can still rise just
     # right of it: unlike quadrature.window, no divergence check here
     w = max(scale, 1e-8)
@@ -167,7 +169,7 @@ def build_cdf_table(log_pdf: Callable, *, peak: float, scale: float,
             raise TableBuildFail("density does not decay on the right")
     x_hi = bisect_drop(L, x, peak + w, target)
 
-    grid = _knot_layout(peak, scale, x_lo, x_hi, knots)
+    grid = _knot_layout(peak, scale, x_lo, x_hi, KNOTS)
     if grid.size < 32:
         raise TableBuildFail("degenerate knot layout")
     logf = np.asarray(log_pdf(grid), dtype=float)

@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 LAMBDA_FLOOR = 5.0
+# rows per oracle batch; every batch owns its own random stream
+BATCH_ROWS = 250_000
 
 
 def rate_I(d: LightTailDensity, a: float) -> float:
@@ -86,7 +88,7 @@ def tail_prob(d: LightTailDensity, n: int, a: float) -> TailEstimate:
 
 def sampler_tilted(td: TiltedDensity) -> CdfTable:
     """Inverse-CDF table for the tilted density, usable for bulk iid draws."""
-    return build_cdf_table(td.log_pdf, peak=td.m, scale=td.s, lo=0.0)
+    return build_cdf_table(td.log_pdf, peak=td.m, scale=td.s)
 
 
 @dataclass(frozen=True)
@@ -118,7 +120,6 @@ def _is_batch(table: CdfTable, rng: np.random.Generator, rows: int, n: int,
 
 def tail_prob_is_oracle(d: LightTailDensity, n: int, a: float,
                         samples: int = 10 ** 6, seed: int = 0,
-                        batch_rows: int = 250_000,
                         threads: int = 1) -> ISOracleResult:
     """Importance-sampling estimate of P(S_n >= n a) under the a-tilted law.
 
@@ -126,7 +127,7 @@ def tail_prob_is_oracle(d: LightTailDensity, n: int, a: float,
     hit is exp(n log phi(t) - t S).  All accumulation happens through
     logsumexp, so the estimate and its relative standard error survive
     probabilities far below the double floor.  Deterministic for a fixed
-    (seed, batch_rows) pair regardless of thread count: every batch owns a
+    seed regardless of thread count: every batch of BATCH_ROWS rows owns a
     SeedSequence child keyed by its index.
     """
     if samples < 1000:
@@ -135,7 +136,7 @@ def tail_prob_is_oracle(d: LightTailDensity, n: int, a: float,
     table = sampler_tilted(td)
     na = n * a
     n_log_phi = n * td.log_phi
-    rows_per = max(1, min(batch_rows, samples))
+    rows_per = min(BATCH_ROWS, samples)
     counts = []
     left = samples
     while left > 0:

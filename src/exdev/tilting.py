@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import quadrature
-from .densities import LightTailDensity, PsiFunction
+from .densities import X_MIN_REGULAR, LightTailDensity, PsiFunction
 from .errors import BracketFail, DomainError, NotSolvable, OutOfRange
 
 __all__ = [
@@ -33,6 +33,16 @@ __all__ = [
 # (M6 - 3)/2 = 6 is recorded in reports, not asserted (see AbelianReport).
 M6_STANDARD_NORMAL = 15.0
 MU3_REFERENCE_CONST = (M6_STANDARD_NORMAL - 3.0) / 2.0
+
+# tilt inversion: relative tolerance on m(t) = a, the largest tilt tried
+# (levels above m(T_CAP) are out of range) and the Newton step budget
+REL_TOL = 1e-12
+T_CAP = 1e10
+MAX_ITER = 80
+
+# self_neglect_check window, in standardized units, and its point count
+NEGLECT_WINDOW = (-3.0, 3.0)
+NEGLECT_POINTS = 13
 
 
 @dataclass(frozen=True)
@@ -62,13 +72,13 @@ def _exponent_callable(d: LightTailDensity, t: float):
 
 def _tilt_peak(d: LightTailDensity, t: float) -> float:
     return quadrature.exponent_peak(
-        lambda x: float(d.g_prime(x)), t, max(d.x_min_regular, 1.0))
+        lambda x: float(d.g_prime(x)), t, X_MIN_REGULAR)
 
 
 @lru_cache(maxsize=65536)
 def _cumulants_cached(d: LightTailDensity, t: float) -> CumulantTriple:
     peak = _tilt_peak(d, t)
-    mom = quadrature.moments(_exponent_callable(d, t), peak, lo=0.0)
+    mom = quadrature.moments(_exponent_callable(d, t), peak)
     return CumulantTriple(t=t, log_phi=d.log_c + mom.log_z,
                           m=mom.mean, s2=mom.var, mu3=mom.mu3)
 
@@ -85,7 +95,7 @@ def log_mgf(d: LightTailDensity, t: float) -> float:
     if not math.isfinite(t):
         raise DomainError("tilt t must be finite")
     peak = _tilt_peak(d, t)
-    return d.log_c + quadrature.log_integral(_exponent_callable(d, t), peak, lo=0.0)
+    return d.log_c + quadrature.log_integral(_exponent_callable(d, t), peak)
 
 
 def density_mean(d: LightTailDensity) -> float:
@@ -126,14 +136,13 @@ def tilt_at(d: LightTailDensity, t: float) -> TiltedDensity:
     return TiltedDensity(base=d, t=c.t, log_phi=c.log_phi, m=c.m, s2=c.s2, mu3=c.mu3)
 
 
-def invert_m(d: LightTailDensity, a: float, *, rel_tol: float = 1e-12,
-             t_cap: float = 1e10, max_iter: int = 80) -> CumulantTriple:
+def invert_m(d: LightTailDensity, a: float) -> CumulantTriple:
     """Solve m(t) = a for t >= 0.
 
     Initial guess t0 = h(a) (exact to leading order at extreme levels),
     bracket by doubling/halving, then safeguarded Newton with s2 = m' and
     bisection fallback.  Raises NotSolvable when a is below the base mean
-    and OutOfRange when it is above m(t_cap).
+    and OutOfRange when it is above m(T_CAP).
     """
     if not (math.isfinite(a) and a > 0.0):
         raise DomainError("target mean must be positive and finite")
@@ -141,13 +150,13 @@ def invert_m(d: LightTailDensity, a: float, *, rel_tol: float = 1e-12,
     if a < base.m * (1.0 - 1e-12):
         raise NotSolvable(
             f"target mean {a!r} lies below the unconstrained mean {base.m!r}")
-    if abs(a - base.m) <= rel_tol * abs(a):
+    if abs(a - base.m) <= REL_TOL * abs(a):
         return base
 
     t0 = float(d.g_prime(a))
     if not (math.isfinite(t0) and t0 > 0.0):
         t0 = (a - base.m) / base.s2
-    t0 = min(max(t0, 1e-12), t_cap)
+    t0 = min(max(t0, 1e-12), T_CAP)
 
     seen = {0.0: base}
 
@@ -155,31 +164,28 @@ def invert_m(d: LightTailDensity, a: float, *, rel_tol: float = 1e-12,
         c = seen[t] = cumulants(d, t)
         return c.m, c.s2
 
-    return seen[_solve_mean(m_s2, a, t0, (base.m, base.s2), rel_tol=rel_tol,
-                            t_cap=t_cap, max_iter=max_iter)]
+    return seen[_solve_mean(m_s2, a, t0, (base.m, base.s2))]
 
 
 def _solve_mean(m_s2: Callable[[float], tuple[float, float]], a: float,
-                t0: float, at_zero: tuple[float, float], *,
-                rel_tol: float = 1e-12, t_cap: float = 1e10,
-                max_iter: int = 80) -> float:
+                t0: float, at_zero: tuple[float, float]) -> float:
     """t >= 0 with m(t) = a for an increasing mean map, m_s2(t) = (m, m').
 
     Brackets from the guess t0 by doubling/halving (at_zero stands in for
     m_s2(0.0)), starts at the bracket end closer to a, then runs Newton
     steps that fall back to bisection when they leave the bracket.  Raises
-    OutOfRange, naming m(t_cap), when a lies above it.
+    OutOfRange, naming m(T_CAP), when a lies above it.
     """
     lo, hi = 0.0, t0
     c_hi = m_s2(hi)
     grow = 0
     while c_hi[0] < a:
-        if hi >= t_cap:
+        if hi >= T_CAP:
             raise OutOfRange(
                 f"level {a!r} is beyond the largest reachable level "
-                f"m(t_cap) = {c_hi[0]!r} (tilt cap t_cap = {t_cap:g})")
+                f"m(t_cap) = {c_hi[0]!r} (tilt cap t_cap = {T_CAP:g})")
         lo = hi
-        hi = min(2.0 * hi, t_cap)
+        hi = min(2.0 * hi, T_CAP)
         grow += 1
         if grow > 120:
             raise BracketFail("could not bracket the tilt from above")
@@ -196,8 +202,8 @@ def _solve_mean(m_s2: Callable[[float], tuple[float, float]], a: float,
 
     t, (m, s2) = ((hi, c_hi) if abs(c_hi[0] - a) < abs(c_lo[0] - a)
                   else (lo, c_lo))
-    for _ in range(max_iter):
-        if abs(m - a) <= rel_tol * abs(a):
+    for _ in range(MAX_ITER):
+        if abs(m - a) <= REL_TOL * abs(a):
             return t
         if m > a:
             hi = min(hi, t)
@@ -311,20 +317,16 @@ def abelian_check(d: LightTailDensity, t_grid) -> AbelianReport:
     return rep
 
 
-def self_neglect_check(d: LightTailDensity, t: float,
-                       K: tuple[float, float] = (-3.0, 3.0),
-                       points: int = 13) -> float:
-    """sup over u in K of |s2(t + u/s(t))/s2(t) - 1|.
+def self_neglect_check(d: LightTailDensity, t: float) -> float:
+    """sup over u in NEGLECT_WINDOW of |s2(t + u/s(t))/s2(t) - 1|.
 
-    The window K is in standardized units; self-neglecting variance means the
+    The window is in standardized units; self-neglecting variance means the
     sup tends to 0 as t grows.
     """
-    if not (points >= 3 and K[0] < 0.0 < K[1]):
-        raise DomainError("window must straddle 0 with >= 3 points")
     c0 = cumulants(d, t)
     s = c0.s
     worst = 0.0
-    for u in np.linspace(K[0], K[1], points):
+    for u in np.linspace(*NEGLECT_WINDOW, NEGLECT_POINTS):
         t_shift = t + float(u) / s
         if t_shift <= 0.0:
             raise DomainError(

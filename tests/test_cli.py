@@ -159,6 +159,27 @@ def test_unreachable_level_is_out_of_range(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("args", [
+    ["--f", "linear", "--dim", "3", "--a", "8", "--seed", "0"],
+    ["--f", "identity", "--marginal", "positive", "--a", "3"],
+])
+def test_levelset_on_positive_marginal_runs(args, capsys):
+    # Metropolis proposals below 0 are rejected, not a DOMAIN error
+    code, out, err = run_cli(["levelset", "--density", "weibull", "--k", "3",
+                              "--count", "4000", *args], capsys)
+    assert code == 0, err
+    assert json.loads(out)["results"]["acceptance"] > 0.0
+
+
+def test_levelset_level_below_mean_is_not_solvable(capsys):
+    # same exit and tag as `tail --a 0.5`
+    code, _, err = run_cli(["levelset", "--density", "weibull", "--k", "3",
+                            "--f", "linear", "--dim", "3", "--a", "1.5",
+                            "--count", "4000"], capsys)
+    assert code == 2
+    assert err.startswith("ERROR NOT_SOLVABLE:")
+
+
 def test_import_does_not_load_scipy_stats():
     proc = subprocess.run(
         [sys.executable, "-c",

@@ -111,7 +111,7 @@ def test_psi_function_derivatives(weibull2):
 
 
 def test_psi_below_range_raises(weibull2):
-    lo = float(weibull2.h(weibull2.x_min_regular))
+    lo = float(weibull2.h(exdev.densities.X_MIN_REGULAR))
     with pytest.raises(OutOfRange):
         psi(weibull2, lo - 0.5)
 

@@ -18,15 +18,16 @@ from exdev import (
     product_ambient,
     signed_sqrt_marginal,
     square_concentration_check,
+    weibull,
 )
-from exdev.levelsets import AmbientLaw, _sqrt_law, _square_law, pushforward_model
+from exdev.levelsets import AmbientLaw, _power_law, pushforward_model
 
 
 # --- change-of-variable laws ------------------------------------------------------
 
 def test_square_law_change_of_variable(weibull3):
     # Z = Y^2: p_Z(z) = p_Y(sqrt(z)) / (2 sqrt(z)), including the normalizer
-    sq = _square_law(weibull3)
+    sq = _power_law(weibull3, 2.0)
     z = np.linspace(0.3, 6.0, 40)
     expected = weibull3.log_pdf(np.sqrt(z)) - math.log(2.0) - 0.5 * np.log(z)
     np.testing.assert_allclose(sq.log_pdf(z), expected, atol=1e-9)
@@ -34,7 +35,7 @@ def test_square_law_change_of_variable(weibull3):
 
 def test_sqrt_law_change_of_variable(weibull3):
     # W = sqrt(Y): p_W(w) = 2 w p_Y(w^2)
-    sr = _sqrt_law(weibull3)
+    sr = _power_law(weibull3, 0.5)
     w = np.linspace(0.4, 1.8, 40)
     expected = weibull3.log_pdf(w ** 2) + math.log(2.0) + np.log(w)
     np.testing.assert_allclose(sr.log_pdf(w), expected, atol=1e-9)
@@ -43,7 +44,28 @@ def test_sqrt_law_change_of_variable(weibull3):
 def test_square_law_rejects_heavy_result(weibull2):
     # squaring the k=2 law gives a plain exponential tail: not light
     with pytest.raises(PushforwardUnsolvable):
-        _square_law(weibull2)
+        _power_law(weibull2, 2.0)
+
+
+@pytest.mark.parametrize("r", [2.0, 0.5])
+def test_power_law_rejects_perturbed_base(r):
+    # term surgery sees g only; a perturbation q would be dropped silently
+    perturbed = weibull(3.0, q=lambda x: 0.01 * np.sin(x))
+    with pytest.raises(PushforwardUnsolvable):
+        _power_law(perturbed, r)
+
+
+def test_sqrt_law_rejects_exponential_terms(dexp):
+    with pytest.raises(PushforwardUnsolvable):
+        _power_law(dexp, 0.5)
+
+
+def test_power_law_round_trip(weibull3):
+    # (Y^2)^(1/2) = Y: the terms come back exactly, so the law does too
+    back = _power_law(_power_law(weibull3, 2.0), 0.5)
+    assert back.terms == weibull3.terms
+    x = np.linspace(0.05, 3.0, 60)
+    np.testing.assert_array_equal(back.log_pdf(x), weibull3.log_pdf(x))
 
 
 # --- pushforward reductions --------------------------------------------------------
@@ -146,6 +168,16 @@ def test_level_set_wide_window_hits_everything(weibull25):
     assert res.hit_fraction == pytest.approx(1.0)
     assert res.points.shape[0] == 10_000
     assert res.t > 0.0
+
+
+def test_positive_marginal_rejects_negative_proposals(weibull3):
+    # the random walk proposes x < 0 near the boundary; the Metropolis step
+    # must reject it (zero density), not raise
+    res = level_set_sampler(product_ambient(positive_marginal(weibull3), 1),
+                            "identity", 3.0, 4000, seed=2)
+    assert res.points.shape == (4000, 1)
+    assert np.all(np.isfinite(res.points))
+    assert np.all(res.points >= 0.0)
 
 
 def test_level_set_default_window(weibull25):
