@@ -6,7 +6,7 @@ directory, each with `--out golden/<name>` (the out path is part of the
 report), and prints one `<sha256>  <file>` line per output file.  run0-run4
 are the five runs of acceptance criterion 11, in order; edge, gtv and lvl
 cover the edgeworth, gibbs-tv and levelset experiments; cust and cgtv use a
-custom term list (cgtv through the generic pair kernel), dexp the
+custom term list (cgtv through the pair sampler with an exp term), dexp the
 double-exponential density and sqrt the signed-sqrt level-set marginal.
 Run it on two commits and diff the output.
 """

@@ -7,12 +7,13 @@ equivalence.
 Point constraint: a pairwise-Gibbs chain on the simplex slice
 {x in R_+^n : sum x = n a}.  Each step picks a pair (i, j), holds c = x_i +
 x_j fixed, and redraws x_i from the exact conditional density proportional to
-p(u) p(c - u) on (0, c) by inverse CDF on a fixed relative grid v = u/c.  The
-grid nests extra resolution around v = 1/2 because the conditional is always
-symmetric about c/2 and concentrates there once the tilt is strong.  All
+p(u) p(c - u) on (0, c) by one rejection step: the law is symmetric about
+c/2, and for convex g its reflection |u - c/2| is log-concave and
+decreasing, so a flat-then-tangent envelope bounds it at every level.  The
+sampler therefore takes densities with no perturbation q whose terms of g
+are all convex on (0, inf), and raises DomainError for any other.  All
 chains advance in lockstep (one shared pair schedule, independent heat-bath
-draws), which turns every update into a handful of vectorized passes over a
-(chains x grid) matrix.
+draws); only the chains whose proposal was rejected draw again.
 
 Exceedance constraint: iid blocks from the a-tilted product law, accepted
 when the block sum clears n a, reweighted by exp(-t (sum - n a)) to undo the
@@ -30,7 +31,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
-from .densities import LightTailDensity, LogTerm, PowerTerm
+from .densities import ExpTerm, LightTailDensity, LogTerm, PowerTerm
 from .errors import (DomainError, InfeasibleStart, LowAcceptance,
                      MassTooSmall, ScheduleInfeasible, TooFewSamples)
 from .quadrature import log_integral
@@ -120,83 +121,50 @@ class ConditionalSample:
 # ---------------------------------------------------------------------------
 # pairwise-Gibbs point-conditional sampler
 
-# relative grid on (0,1) for the pair conditional; symmetric, refined at 1/2
-def _pair_grid() -> np.ndarray:
-    outer = np.linspace(1e-9, 1.0 - 1e-9, 97)
-    mid = 0.5 + 0.15 * np.linspace(-1.0, 1.0, 161)
-    inner = 0.5 + 0.03 * np.linspace(-1.0, 1.0, 129)
-    return np.unique(np.concatenate([outer, mid, inner]))
+def _convex(term) -> bool:
+    """Whether a term of g is convex on (0, inf)."""
+    if isinstance(term, PowerTerm):
+        return term.coef * term.exponent * (term.exponent - 1.0) >= 0.0
+    if isinstance(term, LogTerm):
+        return term.coef <= 0.0
+    return isinstance(term, ExpTerm)
 
 
-_V_GRID = _pair_grid()
-_V_DIFF = np.diff(_V_GRID)
-
-
-class _PairKernel:
-    """Per-density precomputation for the pair heat-bath exponent.
-
-    Separable path: when g is a sum of pure power and log terms with no
-    perturbation, g(c v) + g(c (1-v)) splits into per-term products of a
-    c-profile and a fixed v-profile, so each step is one outer product per
-    term instead of a full exponent evaluation on the (chains x grid) matrix.
-    """
-
-    def __init__(self, d: LightTailDensity):
-        self.d = d
-        v = _V_GRID
-        self.v = v
-        separable = d.q is None and all(
-            isinstance(t, (PowerTerm, LogTerm)) for t in d.terms)
-        self.separable = separable
-        if separable:
-            self.powers = [(t.coef, t.exponent,
-                            v ** t.exponent + (1.0 - v) ** t.exponent)
-                           for t in d.terms if isinstance(t, PowerTerm)]
-            log_coef = sum(t.coef for t in d.terms if isinstance(t, LogTerm))
-            self.log_coef = log_coef
-            self.log_profile = np.log(v) + np.log1p(-v)
-
-    def log_density(self, c: np.ndarray) -> np.ndarray:
-        """(chains x grid) log of the pair conditional, up to row constants."""
-        if self.separable:
-            W = np.zeros((c.size, self.v.size))
-            for coef, p, prof in self.powers:
-                W -= np.multiply.outer(coef * c ** p, prof)
-            if self.log_coef:
-                W -= self.log_coef * self.log_profile
-            return W
-        u = np.multiply.outer(c, self.v)
-        return self.d.exponent(u) + self.d.exponent(c[:, None] - u)
-
-
-def _heat_bath_draw(kernel: _PairKernel, c: np.ndarray,
+def _heat_bath_draw(d: LightTailDensity, c: np.ndarray,
                     rng: np.random.Generator) -> np.ndarray:
-    """Draw u ~ p(u) p(c-u) on (0, c) for every chain at once."""
-    W = kernel.log_density(c)
-    W -= W.max(axis=1, keepdims=True)
-    F = np.exp(W)
-    seg = 0.5 * (F[:, 1:] + F[:, :-1]) * _V_DIFF
-    cum = np.cumsum(seg, axis=1)
-    total = cum[:, -1]
-    target = rng.random(c.size) * total
-    idx = np.minimum((cum < target[:, None]).sum(axis=1), seg.shape[1] - 1)
-    left = np.where(idx > 0,
-                    np.take_along_axis(cum, np.maximum(idx - 1, 0)[:, None],
-                                       axis=1)[:, 0], 0.0)
-    into = target - left
-    rows = np.arange(c.size)
-    f0 = F[rows, idx]
-    f1 = F[rows, idx + 1]
-    dv = _V_DIFF[idx]
-    # invert the quadratic CDF piece of the trapezoid: 0.5 df tau^2 + f0 tau = into/dv
-    df = f1 - f0
-    lin = into / np.maximum(f0 * dv, 1e-300)
-    disc = f0 * f0 + 2.0 * df * into / np.maximum(dv, 1e-300)
-    quad = (np.sqrt(np.maximum(disc, 0.0)) - f0) / np.where(df == 0.0, 1.0, df)
-    tau = np.where(np.abs(df) < 1e-12 * np.maximum(f0, f1), lin, quad)
-    tau = np.clip(tau, 0.0, 1.0)
-    v_star = _V_GRID[idx] + dv * tau
-    return c * v_star
+    """Draw u ~ p(u) p(c - u) on (0, c) for every chain at once.
+
+    Rejection on the reflection W = |u - c/2|, whose log density l(w) =
+    -(g(c/2 + w) + g(c/2 - w)) on [0, c/2) is concave and decreasing for
+    convex g.  The envelope is flat at l(0) up to z, then the tangent at w1 =
+    min(1/sqrt(g''(c/2)), c/4); both lie above l.  A flat tangent (g'' = 0 on
+    the pair's range) leaves the flat piece alone on [0, c/2).
+    """
+    ell = lambda h, w: -(d.g(h + w) + d.g(h - w))
+    half = 0.5 * c
+    top = -2.0 * d.g(half)
+    with np.errstate(divide="ignore"):
+        w1 = np.minimum(1.0 / np.sqrt(d.g_second(half)), 0.5 * half)
+    slope = d.g_prime(half - w1) - d.g_prime(half + w1)
+    flat = slope >= 0.0
+    slope = np.where(flat, -1.0, slope)
+    drop = ell(half, w1) - top
+    z = np.where(flat, half, np.clip(w1 - drop / slope, 0.0, half))
+    tail = np.expm1(slope * (half - z)) / slope  # envelope mass past z
+
+    u = np.empty_like(c)
+    pending = np.arange(c.size)
+    while pending.size:
+        hf, zp, sp = half[pending], z[pending], slope[pending]
+        pos, acc, sign = rng.random((3, pending.size))
+        mass = pos * (zp + tail[pending])
+        over = mass > zp
+        w = np.where(over, zp + np.log1p(sp * (mass - zp)) / sp, mass)
+        env = top[pending] + np.where(over, sp * (w - zp), 0.0)
+        ok = acc < np.exp(ell(hf, w) - env)
+        u[pending[ok]] = hf[ok] + np.where(sign[ok] < 0.5, w[ok], -w[ok])
+        pending = pending[~ok]
+    return u
 
 
 def sample_point_conditional(d: LightTailDensity, cond: ConditionDescriptor,
@@ -215,6 +183,10 @@ def sample_point_conditional(d: LightTailDensity, cond: ConditionDescriptor,
     """
     if cond.kind != "point":
         raise DomainError("point sampler needs a point descriptor")
+    if d.q is not None or not all(_convex(t) for t in d.terms):
+        raise DomainError(
+            "the point sampler needs a log-concave pair law: no perturbation "
+            "q and every term of g convex on (0, inf)")
     n, a = cond.n, cond.a_n
     if d.log_pdf(a) == -math.inf:
         raise InfeasibleStart("density vanishes at the starting level a_n")
@@ -227,7 +199,6 @@ def sample_point_conditional(d: LightTailDensity, cond: ConditionDescriptor,
     if chains < 1 or steps < stride:
         raise DomainError("need at least one chain and one retained state")
 
-    kernel = _PairKernel(d)
     rng = np.random.default_rng(seed)
     x = np.full((chains, n), float(a))
     keep = max(1, min(keep_coords, n))
@@ -240,7 +211,7 @@ def sample_point_conditional(d: LightTailDensity, cond: ConditionDescriptor,
         i = int(rng.integers(n))
         j = (i + 1 + int(rng.integers(n - 1))) % n
         c = x[:, i] + x[:, j]
-        u = _heat_bath_draw(kernel, c, rng)
+        u = _heat_bath_draw(d, c, rng)
         x[:, i] = u
         x[:, j] = c - u
         k = step - burn_in + 1

@@ -203,11 +203,12 @@ class PushforwardModel:
 
     def solve(self, a: float) -> float:
         """t with m(t) = a."""
-        if self.coefs is None:
-            return invert_m(self.scalar, a / self.mult).t
         m0 = self.m(0.0)
         if a <= m0:
-            raise NotSolvable("target below the unconstrained mean")
+            raise NotSolvable(
+                f"level {a!r} lies at or below the mean of f, {m0!r}")
+        if self.coefs is None:
+            return invert_m(self.scalar, a / self.mult).t
         scale = float(self.coefs.sum())
         t0 = invert_m(self.scalar, a / scale).t / float(self.coefs.max())
         return _solve_mean(lambda t: (self.m(t), self.s2(t)), a,

@@ -178,6 +178,18 @@ def test_levelset_level_below_mean_is_not_solvable(capsys):
                             "--count", "4000"], capsys)
     assert code == 2
     assert err.startswith("ERROR NOT_SOLVABLE:")
+    # names the requested level and the mean of f, 3 x 0.893
+    assert "1.5" in err and "2.67" in err
+
+
+def test_gibbs_tv_refuses_non_convex_exponent(capsys):
+    # g = x^3 - 1.5 x^2 has g'' < 0 on x < 1/2: no log-concave pair law
+    code, _, err = run_cli(["gibbs-tv", "--density", "custom", "--terms",
+                            "power:1:3,power:-1.5:2", "--class", "beta:2",
+                            "--n-list", "4", "--chains", "8", "--steps", "16",
+                            "--burn-in", "8"], capsys)
+    assert code == 2
+    assert err.startswith("ERROR DOMAIN:")
 
 
 def test_import_does_not_load_scipy_stats():

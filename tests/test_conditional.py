@@ -8,15 +8,18 @@ import pytest
 from scipy.stats import ks_2samp
 
 from exdev import (
+    ClassTag,
     ConditionDescriptor,
     ConditionalSample,
     DLPWindow,
     DomainError,
     LowAcceptance,
     MassTooSmall,
+    PowerTerm,
     ScheduleInfeasible,
     TooFewSamples,
     TVEstimate,
+    density_from_terms,
     dlp_check,
     epsilon_schedule,
     exceedance_vs_point_equivalence,
@@ -28,6 +31,7 @@ from exdev import (
     sampler_tilted,
     second_order_reference,
     tilt_to_mean,
+    weibull,
 )
 
 from helpers import ks_statistic, simpson_integral
@@ -49,22 +53,27 @@ def test_descriptor_validation():
 
 # --- point-conditional sampler ----------------------------------------------------
 
-def test_point_sampler_n2_exact_law(weibull25):
+@pytest.mark.parametrize("k, a", [(2.5, 2.0), (3.0, 100.0), (4.0, 100.0)])
+def test_point_sampler_n2_exact_law(k, a):
     # for n = 2 the first coordinate given X1 + X2 = 2a has density
-    # proportional to p(u) p(2a - u); compare via KS against quadrature
-    a = 2.0
+    # proportional to p(u) p(2a - u), peaked at a with sd about sigma;
+    # compare via KS against quadrature on a +-40 sigma window, fine enough
+    # to resolve the peak at extreme levels (sigma = 0.002 at k = 4, a = 100)
+    d = weibull(k)
     cond = ConditionDescriptor("point", 2, a)
-    sample = sample_point_conditional(weibull25, cond, chains=2048, steps=40,
+    sample = sample_point_conditional(d, cond, chains=2048, steps=40,
                                       burn_in=40, seed=5, pool_all=True)
     blocks, _ = sample.tv_blocks()
     draws = blocks.ravel()
 
-    dens = lambda u: weibull25.pdf(u) * weibull25.pdf(2.0 * a - u)
-    z = simpson_integral(dens, 0.0, 2.0 * a, points=40_001)
-    grid = np.linspace(0.0, 2.0 * a, 4001)
+    top = 2.0 * float(d.log_pdf(a))
+    dens = lambda u: np.exp(d.log_pdf(u) + d.log_pdf(2.0 * a - u) - top)
+    sigma = 1.0 / math.sqrt(2.0 * float(d.g_second(a)))
+    grid = np.linspace(max(0.0, a - 40.0 * sigma),
+                       min(2.0 * a, a + 40.0 * sigma), 4001)
     masses = np.array([simpson_integral(dens, float(grid[i]), float(grid[i + 1]),
                                         points=41) for i in range(len(grid) - 1)])
-    cum = np.concatenate([[0.0], np.cumsum(masses)]) / z
+    cum = np.concatenate([[0.0], np.cumsum(masses)]) / masses.sum()
     cdf = lambda q: np.interp(q, grid, cum)
 
     ks = ks_statistic(draws, cdf)
@@ -112,6 +121,19 @@ def test_point_sampler_rejects_exceedance_descriptor(weibull2):
     cond = ConditionDescriptor("exceedance", 4, 2.0)
     with pytest.raises(DomainError):
         sample_point_conditional(weibull2, cond, chains=8, steps=4, burn_in=8)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: weibull(2.0, q=lambda x: 0.3 * (1.0 + x) ** -0.25),
+    lambda: density_from_terms((PowerTerm(1.0, 3.0), PowerTerm(-1.5, 2.0)),
+                               class_tag=ClassTag("beta", beta=2.0)),
+], ids=["perturbed", "nonconvex"])
+def test_point_sampler_refuses_non_log_concave_pair_law(make):
+    # a perturbation q, or g'' < 0 somewhere (here on x < 1/2), can make the
+    # pair law bimodal, outside the rejection step's log-concave domain
+    cond = ConditionDescriptor("point", 4, 2.0)
+    with pytest.raises(DomainError):
+        sample_point_conditional(make(), cond, chains=8, steps=4, burn_in=8)
 
 
 # --- exceedance sampler ------------------------------------------------------------
