@@ -8,9 +8,17 @@ are the five runs of acceptance criterion 11, in order; edge, gtv and lvl
 cover the edgeworth, gibbs-tv and levelset experiments; cust and cgtv use a
 custom term list (cgtv through the pair sampler with an exp term), dexp the
 double-exponential density and sqrt the signed-sqrt level-set marginal.
-Run it on two commits and diff the output.
+Run it on two commits and diff the output, or check this checkout against
+the committed hashes:
+
+    python3 scripts/golden_hashes.py --check scripts/golden.sha256
+
+which exits 1 and names each file whose hash differs from (or is missing
+in) the committed list.  A change that moves output bytes on purpose
+updates scripts/golden.sha256 in the same commit.
 """
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -50,7 +58,8 @@ RUNS = {
 }
 
 
-def main() -> None:
+def golden_hashes() -> dict:
+    """{file name: sha256} of the golden outputs of this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -59,10 +68,33 @@ def main() -> None:
             subprocess.run([sys.executable, "-m", "exdev", *args,
                             "--out", f"golden/{name}"],
                            cwd=tmp, env=env, check=True)
-        for path in sorted(Path(tmp, "golden").iterdir()):
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            print(f"{digest}  {path.name}")
+        return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(Path(tmp, "golden").iterdir())}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", metavar="FILE",
+                        help="compare with the '<sha256>  <file>' lines of "
+                             "FILE instead of printing")
+    args = parser.parse_args()
+    hashes = golden_hashes()
+    if args.check is None:
+        for name, digest in hashes.items():
+            print(f"{digest}  {name}")
+        return 0
+    expected = dict(reversed(line.split()) for line in
+                    Path(args.check).read_text().splitlines() if line.strip())
+    differ = sorted(name for name in expected.keys() | hashes.keys()
+                    if expected.get(name) != hashes.get(name))
+    for name in differ:
+        print(f"DIFFERS {name}: expected {expected.get(name)}, "
+              f"got {hashes.get(name)}")
+    if differ:
+        return 1
+    print(f"all {len(hashes)} golden outputs match {args.check}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -11,10 +11,9 @@ from .densities import (ClassReport, ClassTag, ExpTerm, LightTailDensity,
                         LogTerm, PowerTerm, PsiFunction, class_epsilon,
                         density_from_terms, double_exp, psi, verify_class,
                         weibull)
-from .tilting import (AbelianReport, CumulantTriple, GrowthReport,
-                      TiltedDensity, abelian_check, cumulants, growth_report,
-                      invert_m, log_mgf, self_neglect_check, tilt_at,
-                      tilt_to_mean)
+from .tilting import (AbelianReport, GrowthReport, TiltedDensity,
+                      abelian_check, cumulants, growth_report, invert_m,
+                      log_mgf, self_neglect_check, tilt_to_mean)
 from .edgeworth import (ConvolutionTable, EdgeworthEval, GridSpec,
                         NormalizedTiltedDensity, convolve_oracle,
                         edgeworth_density, z1_centered, z1_raw)
@@ -45,9 +44,9 @@ __all__ = [
     "PowerTerm", "PsiFunction", "class_epsilon", "density_from_terms",
     "double_exp", "psi", "verify_class", "weibull",
     # tilting
-    "AbelianReport", "CumulantTriple", "GrowthReport", "TiltedDensity",
-    "abelian_check", "cumulants", "growth_report", "invert_m", "log_mgf",
-    "self_neglect_check", "tilt_at", "tilt_to_mean",
+    "AbelianReport", "GrowthReport", "TiltedDensity", "abelian_check",
+    "cumulants", "growth_report", "invert_m", "log_mgf",
+    "self_neglect_check", "tilt_to_mean",
     # edgeworth
     "ConvolutionTable", "EdgeworthEval", "GridSpec",
     "NormalizedTiltedDensity", "convolve_oracle", "edgeworth_density",

@@ -3,9 +3,10 @@ flag overrides in, JSON summary plus CSV table out.
 
 Exit codes: 0 success, 2 configuration/validation problems, 3 numerical
 failures (and anything unexpected).  stderr carries one machine-greppable
-line per failure: "ERROR <TAG>: message".  Outputs are a deterministic
-function of (resolved config, seed): JSON keys are sorted, CSV uses '\\n'
-terminators and repr floats, and every report embeds the resolved config.
+line per failure, "ERROR <TAG>: message", and one per warning, "WARNING
+<TAG>: message".  Outputs are a deterministic function of (resolved config,
+seed): JSON keys are sorted, CSV uses '\\n' terminators and repr floats, and
+every report embeds the resolved config.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -170,6 +172,8 @@ def _exp_tail(opts: Dict[str, str]) -> None:
     rows = [[n, a, est.t, est.s, est.rate, est.log_prob, est.lambda_n]]
     header = ["n", "a", "t", "s", "rate", "log_prob", "lambda_n"]
     samples = as_int(opts, "is-samples")
+    if samples < 0:
+        raise ValidationError("is-samples must be >= 0 (0 skips the oracle)")
     if samples > 0:
         oracle = tail_prob_is_oracle(d, n, a, samples=samples,
                                      seed=as_seed(opts),
@@ -372,6 +376,12 @@ def run_experiment(experiment: str, flag_values: Dict[str, Optional[str]]) -> No
     exp.run(opts)
 
 
+def _warning_line(message, category, filename, lineno, file=None,
+                  line=None) -> None:
+    tag = getattr(category, "tag", category.__name__)
+    sys.stderr.write(f"WARNING {tag}: {message}\n")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -380,7 +390,9 @@ def main(argv=None) -> int:
             raise ValidationError("an experiment subcommand is required")
         flags = {k.replace("_", "-"): v for k, v in vars(args).items()
                  if k != "experiment"}
-        run_experiment(args.experiment, flags)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line
+            run_experiment(args.experiment, flags)
         return 0
     except ValidationError as exc:
         sys.stderr.write(f"ERROR {exc.tag}: {exc}\n")

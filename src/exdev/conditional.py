@@ -28,13 +28,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from .densities import ExpTerm, LightTailDensity, LogTerm, PowerTerm
 from .errors import (DomainError, InfeasibleStart, LowAcceptance,
                      MassTooSmall, ScheduleInfeasible, TooFewSamples)
-from .quadrature import log_integral
+from .quadrature import exponent_peak, log_integral
 from .tilting import tilt_to_mean
 from .tails import sampler_tilted
 
@@ -262,6 +261,8 @@ def sample_exceedance_conditional(d: LightTailDensity,
     """
     if cond.kind != "exceedance":
         raise DomainError("exceedance sampler needs an exceedance descriptor")
+    if count < 1:
+        raise DomainError(f"count must be >= 1, got {count}")
     n, a = cond.n, cond.a_n
     td = tilt_to_mean(d, a)
     table = sampler_tilted(td)
@@ -530,19 +531,10 @@ def second_order_reference(d: LightTailDensity, n: int,
                 - 0.5 * (y - a_n) ** 2 / sigma2
                 - 0.5 * math.log(2.0 * math.pi * sigma2))
 
-    def Lp(y):
-        return td.t - d.h(y) - (y - a_n) / sigma2
-
-    # Lp decreases (h increasing plus the linear pull); peak sits near a_n
-    lo = 1e-12
-    hi = a_n + 2.0 * sigma2 * (td.t + 1.0)
-    if Lp(lo) <= 0.0:
-        peak = lo
-    elif Lp(hi) >= 0.0:
-        peak = hi
-    else:
-        peak = brentq(Lp, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    log_z = log_integral(L, x_peak=float(peak))
+    # L' = t - h(y) - (y - a_n)/sigma2 decreases; the peak sits near a_n
+    peak = exponent_peak(lambda y: float(d.h(y)) + (y - a_n) / sigma2,
+                         td.t, a_n)
+    log_z = log_integral(L, x_peak=peak)
     return SecondOrderReference(density=d, n=n, a_n=a_n, t=td.t,
                                 log_phi=log_phi, sigma2=sigma2, log_norm=log_z)
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import quadrature
 from .errors import (
@@ -278,26 +277,8 @@ def _psi_scalar(d: LightTailDensity, u: float) -> float:
             "regular region only")
     if u <= h_lo:
         return lo
-
-    if d.psi_seed is not None:
-        hi = max(float(d.psi_seed(u)), lo * (1.0 + 1e-9))
-    else:
-        hi = 2.0 * lo
-    prev = lo
-    for _ in range(200):
-        v = h(hi)
-        if v >= u:
-            break
-        if v < h(prev) - abs(v) * 1e-9:
-            raise NonMonotone("h decreased while expanding the psi bracket")
-        prev = hi
-        hi *= 2.0
-        if hi > 1e15:
-            raise NonMonotone("psi bracket expansion failed")
-    else:
-        raise NonMonotone("psi bracket expansion failed")
-    root = brentq(lambda x: h(x) - u, prev, hi, xtol=1e-300, rtol=8.9e-16)
-    root = float(root)
+    probe = lo if d.psi_seed is None else max(float(d.psi_seed(u)), lo)
+    root = quadrature.exponent_peak(h, u, probe)
     if abs(h(root) - u) > PSI_REL_TOL * max(abs(u), 1.0):
         raise NonMonotone("psi root did not meet the residual tolerance")
     return root
@@ -306,8 +287,9 @@ def _psi_scalar(d: LightTailDensity, u: float) -> float:
 def psi(d: LightTailDensity, u):
     """Generalized inverse of h on the regular region: inf{x : h(x) >= u}.
 
-    Uses the closed form when the density carries one, otherwise bracketed
-    root finding seeded by the density's leading-order inverse.
+    Uses the closed form when the density carries one, otherwise solves
+    h(x) = u with quadrature.exponent_peak, probing from the density's
+    leading-order inverse.
     """
     u_arr = np.asarray(u, dtype=float)
     if d.psi_closed is not None:

@@ -85,3 +85,5 @@ class PushforwardUnsolvable(NumericalError):
 
 class AsymptoticRangeWarning(UserWarning):
     """An asymptotic formula is being evaluated outside its trusted range."""
+
+    tag = "ASYMPTOTIC_RANGE"

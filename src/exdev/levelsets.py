@@ -176,28 +176,21 @@ def _power_law(base: LightTailDensity, r: float) -> LightTailDensity:
 
 @dataclass(frozen=True, eq=False)
 class PushforwardModel:
-    """Scalar reduction of the law of f(X): Z = sum of `mult` iid copies of
-    `scalar`, or a positive combination with per-coordinate coefs."""
+    """Scalar reduction of the law of f(X): Z = sum_j coefs[j] * Y_j over iid
+    copies Y_j of `scalar`."""
 
     scalar: LightTailDensity
-    mult: int = 1
-    coefs: Optional[np.ndarray] = None
+    coefs: np.ndarray
 
     def log_phi(self, t: float) -> float:
-        if self.coefs is None:
-            return self.mult * cumulants(self.scalar, t).log_phi
         return sum(cumulants(self.scalar, float(c * t)).log_phi
                    for c in self.coefs)
 
     def m(self, t: float) -> float:
-        if self.coefs is None:
-            return self.mult * cumulants(self.scalar, t).m
         return sum(float(c) * cumulants(self.scalar, float(c * t)).m
                    for c in self.coefs)
 
     def s2(self, t: float) -> float:
-        if self.coefs is None:
-            return self.mult * cumulants(self.scalar, t).s2
         return sum(float(c) ** 2 * cumulants(self.scalar, float(c * t)).s2
                    for c in self.coefs)
 
@@ -207,8 +200,6 @@ class PushforwardModel:
         if a <= m0:
             raise NotSolvable(
                 f"level {a!r} lies at or below the mean of f, {m0!r}")
-        if self.coefs is None:
-            return invert_m(self.scalar, a / self.mult).t
         scale = float(self.coefs.sum())
         t0 = invert_m(self.scalar, a / scale).t / float(self.coefs.max())
         return _solve_mean(lambda t: (self.m(t), self.s2(t)), a,
@@ -230,33 +221,31 @@ def pushforward_model(ambient: AmbientLaw, f: FSpec) -> PushforwardModel:
     if not ambient.iid:
         raise PushforwardUnsolvable("only iid product ambients are reduced")
     marg = ambient.marginals[0]
-    d = ambient.dim
+    ones = np.ones(ambient.dim)
     if f.name == "identity":
         if marg.kind != "positive":
             raise PushforwardUnsolvable(
                 "identity on a signed marginal has a two-sided law")
-        return PushforwardModel(scalar=marg.base, mult=1)
+        return PushforwardModel(scalar=marg.base, coefs=ones)
     if f.name == "sumsq":
         if marg.kind == "signed_sqrt":
-            return PushforwardModel(scalar=marg.base, mult=d)
-        return PushforwardModel(scalar=_power_law(marg.base, 2.0), mult=d)
+            return PushforwardModel(scalar=marg.base, coefs=ones)
+        return PushforwardModel(scalar=_power_law(marg.base, 2.0), coefs=ones)
     if f.name == "norm2":
-        if d != 1:
+        if ambient.dim != 1:
             raise PushforwardUnsolvable(
                 "norm2 reduces to one dimension only; use sumsq and take "
                 "square roots downstream")
         if marg.kind == "signed_sqrt":
             return PushforwardModel(scalar=_power_law(marg.base, 0.5),
-                                    mult=1)
+                                    coefs=ones)
         # norm of one positive coordinate is the coordinate itself
-        return PushforwardModel(scalar=marg.base, mult=1)
+        return PushforwardModel(scalar=marg.base, coefs=ones)
     if f.name == "linear":
         if marg.kind != "positive":
             raise PushforwardUnsolvable(
                 "linear combinations of signed marginals are two-sided")
-        coefs = f.coefs if f.coefs is not None else np.ones(d)
-        if np.all(coefs == 1.0):
-            return PushforwardModel(scalar=marg.base, mult=d)
+        coefs = f.coefs if f.coefs is not None else ones
         return PushforwardModel(scalar=marg.base, coefs=coefs)
     raise PushforwardUnsolvable(f"no reduction for constraint {f.name!r}")
 
@@ -336,6 +325,8 @@ def mh_sample(law: FTiltedLaw, count: int, seed: int = 0, chains: int = 256,
     touching the radial profile.
     Returns (points (count, dim), f_values, acceptance_rate).
     """
+    if count < 1:
+        raise DomainError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     d = law.ambient.dim
     x = _init_state(law, chains, rng)

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
-from .errors import Divergent, NumericalError
+from .errors import Divergent, NonMonotone, NumericalError
 
 # exp(-690) is still representable; past ~745 it underflows to 0.
 DROP = 690.0
@@ -188,22 +188,27 @@ def exponent_peak(h: Callable[[float], float], t: float,
                   x_probe: float) -> float:
     """Maximizer on [0, inf) of x -> t*x - g(x), where h = g'.
 
-    Solves h(x) = t by bracketed bisection/brentq when the root is interior;
-    returns 0.0 when the exponent is decreasing from the boundary on.  h must
-    be increasing where it is evaluated (true for all catalog densities).
+    This is the one solver for an increasing equation h(x) = t: it brackets
+    the root by doubling up from x_probe (raising NonMonotone if h decreases
+    on the way) or halving down towards 0, then runs brentq when the root is
+    interior; returns 0.0 when the exponent is decreasing from the boundary
+    on.
     """
     from scipy.optimize import brentq
 
     def fval(x: float) -> float:
+        # an h that overflowed to +inf lies above t; only NaN counts as below
         v = h(x) - t
-        return v if math.isfinite(v) else -math.inf
+        return -math.inf if math.isnan(v) else v
 
     a, b = PEAK_LO, max(x_probe, 2.0 * PEAK_LO)
     fb = fval(b)
     grow = 0
     while fb < 0.0:
-        a, b = b, b * 2.0
+        a, b, fa = b, b * 2.0, fb
         fb = fval(b)
+        if fb < fa - abs(fb + t) * 1e-9:
+            raise NonMonotone("h decreased while expanding the bracket")
         grow += 1
         if grow > 200 or b > 1e15:
             raise Divergent(f"h never reaches the tilt level t={t!r}")

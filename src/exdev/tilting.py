@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -23,10 +23,9 @@ from .densities import X_MIN_REGULAR, LightTailDensity, PsiFunction
 from .errors import BracketFail, DomainError, NotSolvable, OutOfRange
 
 __all__ = [
-    "M6_STANDARD_NORMAL", "CumulantTriple", "TiltedDensity", "AbelianReport",
-    "GrowthReport", "log_mgf", "cumulants", "density_mean", "invert_m",
-    "tilt_at", "tilt_to_mean", "abelian_check", "self_neglect_check",
-    "growth_report",
+    "M6_STANDARD_NORMAL", "TiltedDensity", "AbelianReport", "GrowthReport",
+    "log_mgf", "cumulants", "density_mean", "invert_m", "tilt_to_mean",
+    "abelian_check", "self_neglect_check", "growth_report",
 ]
 
 # sixth moment of the standard normal; the reference third-moment constant
@@ -43,63 +42,6 @@ MAX_ITER = 80
 # self_neglect_check window, in standardized units, and its point count
 NEGLECT_WINDOW = (-3.0, 3.0)
 NEGLECT_POINTS = 13
-
-
-@dataclass(frozen=True)
-class CumulantTriple:
-    """log phi and first three cumulants of the tilted law at one t."""
-
-    t: float
-    log_phi: float
-    m: float
-    s2: float
-    mu3: float
-
-    @property
-    def s(self) -> float:
-        return math.sqrt(self.s2)
-
-
-def _exponent_callable(d: LightTailDensity, t: float):
-    def L(x: float) -> float:
-        v = t * x - float(d.g(x))
-        if d.q is not None:
-            v += float(d.q(x))
-        return v if math.isfinite(v) else -math.inf
-
-    return L
-
-
-def _tilt_peak(d: LightTailDensity, t: float) -> float:
-    return quadrature.exponent_peak(
-        lambda x: float(d.g_prime(x)), t, X_MIN_REGULAR)
-
-
-@lru_cache(maxsize=65536)
-def _cumulants_cached(d: LightTailDensity, t: float) -> CumulantTriple:
-    peak = _tilt_peak(d, t)
-    mom = quadrature.moments(_exponent_callable(d, t), peak)
-    return CumulantTriple(t=t, log_phi=d.log_c + mom.log_z,
-                          m=mom.mean, s2=mom.var, mu3=mom.mu3)
-
-
-def cumulants(d: LightTailDensity, t: float) -> CumulantTriple:
-    """m(t), s2(t), mu3(t) and log phi(t) by tilted-moment quadrature."""
-    if not math.isfinite(t):
-        raise DomainError("tilt t must be finite")
-    return _cumulants_cached(d, float(t))
-
-
-def log_mgf(d: LightTailDensity, t: float) -> float:
-    """log integral exp(t x) p(x) dx, peak-centered; exact 0 at t = 0."""
-    if not math.isfinite(t):
-        raise DomainError("tilt t must be finite")
-    peak = _tilt_peak(d, t)
-    return d.log_c + quadrature.log_integral(_exponent_callable(d, t), peak)
-
-
-def density_mean(d: LightTailDensity) -> float:
-    return cumulants(d, 0.0).m
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,12 +73,46 @@ class TiltedDensity:
         return f"TiltedDensity({self.base.name}, t={self.t:.6g}, m={self.m:.6g})"
 
 
-def tilt_at(d: LightTailDensity, t: float) -> TiltedDensity:
-    c = cumulants(d, t)
-    return TiltedDensity(base=d, t=c.t, log_phi=c.log_phi, m=c.m, s2=c.s2, mu3=c.mu3)
+def _exponent_callable(d: LightTailDensity, t: float):
+    def L(x: float) -> float:
+        v = t * x - float(d.g(x))
+        if d.q is not None:
+            v += float(d.q(x))
+        return v if math.isfinite(v) else -math.inf
+
+    return L
 
 
-def invert_m(d: LightTailDensity, a: float) -> CumulantTriple:
+def _tilt_peak(d: LightTailDensity, t: float) -> float:
+    return quadrature.exponent_peak(
+        lambda x: float(d.g_prime(x)), t, X_MIN_REGULAR)
+
+
+@lru_cache(maxsize=65536)
+def _cumulants_cached(d: LightTailDensity, t: float) -> TiltedDensity:
+    peak = _tilt_peak(d, t)
+    mom = quadrature.moments(_exponent_callable(d, t), peak)
+    return TiltedDensity(base=d, t=t, log_phi=d.log_c + mom.log_z,
+                         m=mom.mean, s2=mom.var, mu3=mom.mu3)
+
+
+def cumulants(d: LightTailDensity, t: float) -> TiltedDensity:
+    """m(t), s2(t), mu3(t) and log phi(t) by tilted-moment quadrature."""
+    if not math.isfinite(t):
+        raise DomainError("tilt t must be finite")
+    return _cumulants_cached(d, float(t))
+
+
+def log_mgf(d: LightTailDensity, t: float) -> float:
+    """log integral exp(t x) p(x) dx, peak-centered; exact 0 at t = 0."""
+    return cumulants(d, t).log_phi
+
+
+def density_mean(d: LightTailDensity) -> float:
+    return cumulants(d, 0.0).m
+
+
+def invert_m(d: LightTailDensity, a: float) -> TiltedDensity:
     """Solve m(t) = a for t >= 0.
 
     Initial guess t0 = h(a) (exact to leading order at extreme levels),
@@ -178,6 +154,8 @@ def _solve_mean(m_s2: Callable[[float], tuple[float, float]], a: float,
     """
     lo, hi = 0.0, t0
     c_hi = m_s2(hi)
+    if abs(c_hi[0] - a) <= REL_TOL * abs(a):
+        return hi  # an exact guess, e.g. an all-ones pushforward's scalar tilt
     grow = 0
     while c_hi[0] < a:
         if hi >= T_CAP:
@@ -222,8 +200,8 @@ def _solve_mean(m_s2: Callable[[float], tuple[float, float]], a: float,
 
 
 def tilt_to_mean(d: LightTailDensity, a: float) -> TiltedDensity:
-    c = invert_m(d, a)
-    return TiltedDensity(base=d, t=c.t, log_phi=c.log_phi, m=c.m, s2=c.s2, mu3=c.mu3)
+    """The tilted law whose mean is a (invert_m looked up at call time)."""
+    return invert_m(d, a)
 
 
 # ---------------------------------------------------------------------------

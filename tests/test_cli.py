@@ -182,6 +182,36 @@ def test_levelset_level_below_mean_is_not_solvable(capsys):
     assert "1.5" in err and "2.67" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["equiv", "--density", "weibull", "--k", "2.5", "--count", "0"],
+    ["dlp", "--k", "2.5", "--count", "0"],
+    ["levelset", "--density", "weibull", "--k", "3", "--a", "5",
+     "--count", "0"],
+    ["tail", "--density", "weibull", "--k", "2", "--is-samples", "-5"],
+], ids=["equiv", "dlp", "levelset", "tail"])
+def test_empty_or_negative_count_rejected(args, tmp_path, capsys):
+    # no empty-sample crash (exit 3), NaN report or silently skipped oracle
+    code, _, err = run_cli([*args, "--out", str(tmp_path / "r")], capsys)
+    assert code == 2
+    assert err.startswith("ERROR ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_warning_is_one_tagged_line(tmp_path):
+    # lambda_n = 0.347 is far below its floor: the report is written and
+    # flagged, and stderr carries one greppable line, no source echo
+    proc = subprocess.run(
+        [sys.executable, "-m", "exdev", "tail", "--density", "weibull",
+         "--k", "2", "--n", "2", "--a", "1", "--out", str(tmp_path / "r")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ("WARNING ASYMPTOTIC_RANGE: lambda_n = 0.347 < 5: "
+                           "prefactor outside its working range, estimate "
+                           "flagged\n")
+    assert json.loads((tmp_path / "r.json").read_text())["results"][
+        "lambda_ok"] is False
+
+
 def test_gibbs_tv_refuses_non_convex_exponent(capsys):
     # g = x^3 - 1.5 x^2 has g'' < 0 on x < 1/2: no log-concave pair law
     code, _, err = run_cli(["gibbs-tv", "--density", "custom", "--terms",

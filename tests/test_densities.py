@@ -15,6 +15,7 @@ from exdev import (
     DomainError,
     ExpTerm,
     LogTerm,
+    NonMonotone,
     OutOfRange,
     PowerTerm,
     PsiFunction,
@@ -114,6 +115,21 @@ def test_psi_below_range_raises(weibull2):
     lo = float(weibull2.h(exdev.densities.X_MIN_REGULAR))
     with pytest.raises(OutOfRange):
         psi(weibull2, lo - 0.5)
+
+
+def test_exponent_peak_rejects_decreasing_h():
+    # the one h(x) = u solver (psi, tilt peaks) refuses an h that falls
+    # while its bracket expands, instead of reporting a missed level
+    with pytest.raises(NonMonotone):
+        exdev.quadrature.exponent_peak(lambda x: -x, 1.0, 1.0)
+
+
+def test_psi_root_past_the_overflow_of_h():
+    # h = e^x doubles its bracket from 512 to 1024, where h overflows to inf
+    d = density_from_terms([ExpTerm(1.0, 1.0)], class_tag=ClassTag("infinity"))
+    with np.errstate(over="ignore"):
+        assert psi(d, 1e250) == pytest.approx(250.0 * math.log(10.0),
+                                              rel=1e-14)
 
 
 # --- class diagnostics -------------------------------------------------------

@@ -20,7 +20,6 @@ from exdev import (
     log_mgf,
     psi,
     self_neglect_check,
-    tilt_at,
     tilt_to_mean,
     weibull,
 )
@@ -107,7 +106,7 @@ def test_cumulants_at_zero_recover_base_mean(weibull2):
 # --- tilted density ----------------------------------------------------------
 
 def test_tilted_density_normalized_with_stated_mean(weibull3):
-    td = tilt_at(weibull3, 4.0)
+    td = cumulants(weibull3, 4.0)
     mass = simpson_integral(lambda x: td.pdf(x), 0.0, 8.0, points=400_001)
     mean = simpson_integral(lambda x: x * td.pdf(x), 0.0, 8.0, points=400_001)
     assert mass == pytest.approx(1.0, abs=1e-9)
@@ -116,7 +115,7 @@ def test_tilted_density_normalized_with_stated_mean(weibull3):
 
 def test_tilt_mean_monotone_in_t(weibull2):
     # negative tilts are admissible and push the mean below the base mean
-    ms = [tilt_at(weibull2, t).m for t in (-0.5, 0.0, 0.5)]
+    ms = [cumulants(weibull2, t).m for t in (-0.5, 0.0, 0.5)]
     assert ms[0] < ms[1] < ms[2]
     assert ms[1] == pytest.approx(density_mean(weibull2), rel=1e-9)
 
