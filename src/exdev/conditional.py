@@ -15,10 +15,15 @@ are all convex on (0, inf), and raises DomainError for any other.  All
 chains advance in lockstep (one shared pair schedule, independent heat-bath
 draws); only the chains whose proposal was rejected draw again.
 
-Exceedance constraint: iid blocks from the a-tilted product law, accepted
-when the block sum clears n a, reweighted by exp(-t (sum - n a)) to undo the
+Exceedance constraint: iid rows from the a-tilted product law, accepted
+when the row sum clears n a, reweighted by exp(-t (sum - n a)) to undo the
 tilt on the overshoot.  Weights lie in (0, 1], so the effective sample size
-is reported rather than assumed.
+is reported rather than assumed.  Rows are proposed in blocks sized to the
+rows still needed over the acceptance (1/2 before the first block, the
+observed rate after it), with a 10% margin, at least 1024 and at most
+BLOCK_ROWS rows.  The tilted draws form one stream whatever the block sizes,
+so the kept rows are the first `count` rows of that stream to clear the
+level: block sizes move only how many rows are drawn, never the sample.
 """
 
 from __future__ import annotations
@@ -240,7 +245,7 @@ def sample_point_conditional(d: LightTailDensity, cond: ConditionDescriptor,
 # ---------------------------------------------------------------------------
 # exceedance sampler
 
-# proposal rows per exceedance block (capped at 4 count, at least 1024)
+# most proposal rows in one exceedance block (the block is rows * n draws)
 BLOCK_ROWS = 65536
 
 
@@ -251,13 +256,19 @@ def sample_exceedance_conditional(d: LightTailDensity,
                                   ) -> ConditionalSample:
     """Weighted iid draws from the law of (X_1..X_n) given sum >= n a_n.
 
-    Proposes iid rows from the a_n-tilted product law, keeps rows whose sum
-    clears the level, and weights each kept row by exp(-t (sum - level)).
-    Acceptance should sit near 1/2 (the tilted sum is centered exactly at
-    the boundary); below 1e-4 the tilt is wrong or the budget hopeless and
-    LowAcceptance is raised.  Keeps the first coordinate of each row, plus
-    per-row min and max so window checks over all coordinates need no full
-    states.
+    Proposes iid rows from the a_n-tilted product law, keeps the first
+    `count` rows whose sum clears the level, and weights each kept row by
+    exp(-t (sum - level)).  Each block proposes 1.1 (count - kept) / rate
+    rows, clipped to [1024, BLOCK_ROWS], where rate is 1/2 before the first
+    block (the tilted sum is centered exactly at the boundary) and hits /
+    proposed after it.  The draws are one stream of the seeded generator
+    whatever the block sizes, so the sample depends on the seed alone.
+    `acceptance` is count over the proposal rows up to and including the
+    last kept row, also independent of block sizes; meta["proposals"] is
+    the number of rows drawn.  Below a running acceptance of 1e-4 the tilt
+    is wrong or the budget hopeless and LowAcceptance is raised.  Keeps the
+    first coordinate of each row, plus per-row min and max so window checks
+    over all coordinates need no full states.
     """
     if cond.kind != "exceedance":
         raise DomainError("exceedance sampler needs an exceedance descriptor")
@@ -270,37 +281,44 @@ def sample_exceedance_conditional(d: LightTailDensity,
     level = n * a
 
     got = 0
+    hits = 0
     proposed = 0
+    through_last = 0
     parts_c, parts_s, parts_mn, parts_mx = [], [], [], []
-    rows = max(1024, min(BLOCK_ROWS, 4 * count))
     while got < count:
         if proposed > max_proposals:
             raise LowAcceptance(
                 f"still {count - got} rows short after {proposed} proposals")
+        rate = hits / proposed if proposed else 0.5
+        want = 1.1 * (count - got) / rate if rate > 0.0 else BLOCK_ROWS
+        rows = max(1024, math.ceil(min(BLOCK_ROWS, want)))
         block = table.sample(rows * n, rng).reshape(rows, n)
         s = block.sum(axis=1)
-        hit = s >= level
-        proposed += rows
-        if hit.any():
-            kept = block[hit]
+        hit = np.flatnonzero(s >= level)
+        hits += hit.size
+        keep = hit[:count - got]
+        if keep.size:
+            kept = block[keep]
             parts_c.append(kept[:, :1].copy())
-            parts_s.append(s[hit])
+            parts_s.append(s[keep])
             parts_mn.append(kept.min(axis=1))
             parts_mx.append(kept.max(axis=1))
-            got += int(hit.sum())
-        if proposed >= 200_000 and got / proposed < 1e-4:
+            got += keep.size
+            through_last = proposed + int(keep[-1]) + 1
+        proposed += rows
+        if proposed >= 200_000 and hits / proposed < 1e-4:
             raise LowAcceptance(
-                f"acceptance {got / proposed:.2e} after {proposed} proposals")
+                f"acceptance {hits / proposed:.2e} after {proposed} proposals")
 
-    coords = np.concatenate(parts_c, axis=0)[:count]
-    sums = np.concatenate(parts_s)[:count]
-    mins = np.concatenate(parts_mn)[:count]
-    maxs = np.concatenate(parts_mx)[:count]
+    coords = np.concatenate(parts_c, axis=0)
+    sums = np.concatenate(parts_s)
+    mins = np.concatenate(parts_mn)
+    maxs = np.concatenate(parts_mx)
     w = np.exp(-td.t * (sums - level))
     ess = float(w.sum() ** 2 / (w ** 2).sum())
     return ConditionalSample(
         descriptor=cond, coords=coords, sums=sums, weights=w, mins=mins,
-        maxs=maxs, acceptance=got / proposed, ess=ess, seed=seed,
+        maxs=maxs, acceptance=count / through_last, ess=ess, seed=seed,
         meta={"t": td.t, "proposals": proposed, "requested": count})
 
 

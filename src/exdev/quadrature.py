@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
 from scipy import integrate
 
 from .errors import Divergent, NonMonotone, NumericalError

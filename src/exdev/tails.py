@@ -28,7 +28,7 @@ from scipy.special import logsumexp
 from .densities import LightTailDensity
 from .errors import AsymptoticRangeWarning, DegenerateWeights, DomainError
 from .tables import CdfTable, build_cdf_table
-from .tilting import TiltedDensity, cumulants, tilt_to_mean
+from .tilting import TiltedDensity, tilt_to_mean
 
 __all__ = [
     "TailEstimate", "ISOracleResult", "rate_I", "tail_prob",

@@ -33,6 +33,7 @@ from exdev import (
     tilt_to_mean,
     weibull,
 )
+from exdev import conditional
 
 from helpers import ks_statistic, simpson_integral
 
@@ -156,6 +157,41 @@ def test_exceedance_sampler_budget_cap(weibull2):
     with pytest.raises(LowAcceptance):
         sample_exceedance_conditional(weibull2, cond, 10**7, seed=0,
                                       max_proposals=50_000)
+
+
+def _exceedance_rows(sample):
+    return (sample.coords, sample.sums, sample.mins, sample.maxs,
+            sample.weights)
+
+
+def test_exceedance_sample_independent_of_block_size(weibull25, monkeypatch):
+    # the kept rows are the first `count` hits of one tilted stream, so
+    # splitting the proposals into many small blocks changes no byte
+    cond = ConditionDescriptor("exceedance", 8, 2.0)
+    wide = sample_exceedance_conditional(weibull25, cond, 40_000, seed=21)
+    assert wide.meta["proposals"] > conditional.BLOCK_ROWS
+    monkeypatch.setattr(conditional, "BLOCK_ROWS", 1024)
+    narrow = sample_exceedance_conditional(weibull25, cond, 40_000, seed=21)
+    assert narrow.meta["proposals"] >= 40 * 1024
+    for x, y in zip(_exceedance_rows(wide), _exceedance_rows(narrow)):
+        np.testing.assert_array_equal(x, y)
+    assert narrow.acceptance == wide.acceptance
+    assert narrow.ess == wide.ess
+
+
+def test_exceedance_sample_is_a_prefix(weibull25):
+    cond = ConditionDescriptor("exceedance", 16, 2.0)
+    small = sample_exceedance_conditional(weibull25, cond, 3_000, seed=22)
+    large = sample_exceedance_conditional(weibull25, cond, 20_000, seed=22)
+    for x, y in zip(_exceedance_rows(small), _exceedance_rows(large)):
+        np.testing.assert_array_equal(x, y[:3_000])
+
+
+def test_exceedance_sampler_draws_few_spare_rows(weibull25):
+    # about half the tilted rows clear the level, so 2 count rows suffice
+    cond = ConditionDescriptor("exceedance", 16, 2.0)
+    sample = sample_exceedance_conditional(weibull25, cond, 20_000, seed=4)
+    assert sample.meta["proposals"] <= 2.5 * 20_000
 
 
 def test_exceedance_matches_rejection_oracle(weibull2):
