@@ -550,7 +550,7 @@ def second_order_reference(d: LightTailDensity, n: int,
                 - 0.5 * math.log(2.0 * math.pi * sigma2))
 
     # L' = t - h(y) - (y - a_n)/sigma2 decreases; the peak sits near a_n
-    peak = exponent_peak(lambda y: float(d.h(y)) + (y - a_n) / sigma2,
+    peak = exponent_peak(lambda y: d.g_prime_scalar(y) + (y - a_n) / sigma2,
                          td.t, a_n)
     log_z = log_integral(L, x_peak=peak)
     return SecondOrderReference(density=d, n=n, a_n=a_n, t=td.t,
@@ -644,7 +644,7 @@ def dlp_check(d: LightTailDensity, cond: ConditionDescriptor,
     Precondition proxy: log g(a_n) / log n must exceed delta, which keeps the
     level genuinely extreme relative to n.
     """
-    g_an = d.g(cond.a_n)
+    g_an = d.g_scalar(cond.a_n)
     if g_an <= 0.0 or math.log(g_an) / math.log(cond.n) <= delta:
         raise DomainError(
             "level not extreme enough: log g(a_n)/log n <= delta")

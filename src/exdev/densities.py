@@ -12,12 +12,19 @@ classes are supported and checked numerically:
 Construction is factory-based: the normalizer c is always computed by
 peak-centered quadrature, never taken on trust, so closed-form cases double
 as accuracy anchors for tests.
+
+g and g' have two evaluation paths through the term catalog: the array path
+(`LightTailDensity.g`, `g_prime`) and the scalar path (`g_scalar`,
+`g_prime_scalar`) that the quadrature and root-finding callbacks run once
+per float.  The scalar path calls the same numpy ufuncs on each term, so its
+values equal the array path's bit for bit, x = 0 and exp overflow included.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -70,6 +77,10 @@ class GTerm:
     def d2(self, x): raise NotImplementedError
     def d3(self, x): raise NotImplementedError
 
+    def scalar(self, pick: str) -> Callable[[float], float]:
+        """float -> float form of value ("value") or d1 ("d1")."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class PowerTerm(GTerm):
@@ -82,16 +93,26 @@ class PowerTerm(GTerm):
         if self.exponent <= 0:
             raise ValidationError("power term needs a positive exponent")
 
-    def value(self, x): return self.coef * x ** self.exponent
-    def d1(self, x): return self.coef * self.exponent * x ** (self.exponent - 1.0)
+    # np.power, not **: older numpy sends ndarray ** 2.0 (or 0.5) to
+    # np.square (np.sqrt), which np.power on a float, the scalar path, is not
+    def value(self, x): return self.coef * np.power(x, self.exponent)
+
+    def d1(self, x):
+        return self.coef * self.exponent * np.power(x, self.exponent - 1.0)
 
     def d2(self, x):
         p = self.exponent
-        return self.coef * p * (p - 1.0) * x ** (p - 2.0)
+        return self.coef * p * (p - 1.0) * np.power(x, p - 2.0)
 
     def d3(self, x):
         p = self.exponent
-        return self.coef * p * (p - 1.0) * (p - 2.0) * x ** (p - 3.0)
+        return self.coef * p * (p - 1.0) * (p - 2.0) * np.power(x, p - 3.0)
+
+    def scalar(self, pick):
+        c, p = self.coef, self.exponent
+        if pick == "d1":
+            c, p = c * p, p - 1.0
+        return lambda x: c * float(np.power(x, p))
 
 
 @dataclass(frozen=True)
@@ -116,6 +137,15 @@ class LogTerm(GTerm):
         with np.errstate(divide="ignore"):
             return 2.0 * self.coef / x ** 3
 
+    def scalar(self, pick):
+        c = self.coef
+        # log 0 and c / 0 take the array method, whose errstate keeps
+        # numpy's -inf and +-inf without a warning
+        at_zero = lambda x: float(getattr(self, pick)(np.asarray(x, dtype=float)))
+        if pick == "value":
+            return lambda x: c * float(np.log(x)) if x != 0.0 else at_zero(x)
+        return lambda x: c / x if x != 0.0 else at_zero(x)
+
 
 @dataclass(frozen=True)
 class ExpTerm(GTerm):
@@ -133,6 +163,12 @@ class ExpTerm(GTerm):
     def d2(self, x): return self.coef * self.rate ** 2 * np.exp(self.rate * x)
     def d3(self, x): return self.coef * self.rate ** 3 * np.exp(self.rate * x)
 
+    def scalar(self, pick):
+        c, r = self.coef, self.rate
+        if pick == "d1":
+            c = c * r
+        return lambda x: c * float(np.exp(r * x))
+
 
 def _sum_terms(terms: Sequence[GTerm], pick: str, x):
     """Sum of term.<pick>(x) over the catalog, in catalog order."""
@@ -143,6 +179,22 @@ def _sum_terms(terms: Sequence[GTerm], pick: str, x):
     return out
 
 
+def _scalar_sum(terms: Sequence[GTerm], pick: str) -> Callable[[float], float]:
+    """float -> float sum of term.<pick> over the catalog, in catalog order;
+    equal to float(_sum_terms(terms, pick, x)) bit for bit."""
+    first, *rest = [t.scalar(pick) for t in terms]
+    if not rest:
+        return first
+
+    def total(x: float) -> float:
+        out = first(x)
+        for f in rest:
+            out = out + f(x)
+        return out
+
+    return total
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -151,7 +203,8 @@ class LightTailDensity:
     """Immutable density model; safe to share across threads.
 
     g is the sum of the term catalog `terms`; g and its first three
-    derivatives are vectorized on x > 0.  log_c is the quadrature-computed
+    derivatives are vectorized on x > 0, and g_scalar / g_prime_scalar are
+    the same g and g' on one float.  log_c is the quadrature-computed
     log normalizer.  q, when present, is the bounded perturbation (checked by
     verify_class, not enforced here).
     """
@@ -175,6 +228,14 @@ class LightTailDensity:
 
     def g_third(self, x):
         return _sum_terms(self.terms, "d3", x)
+
+    @cached_property
+    def g_scalar(self) -> Callable[[float], float]:
+        return _scalar_sum(self.terms, "value")
+
+    @cached_property
+    def g_prime_scalar(self) -> Callable[[float], float]:
+        return _scalar_sum(self.terms, "d1")
 
     # h is the name the tilting layer uses for the exponent slope: h := g'
     h = g_prime
@@ -212,17 +273,17 @@ def density_from_terms(terms: Sequence[GTerm], *, class_tag: ClassTag,
     if not terms:
         raise ValidationError("empty exponent catalog")
 
+    g = _scalar_sum(terms, "value")
+
     def q_scalar(x: float) -> float:
         return float(q(x)) if q is not None else 0.0
 
     def L(x: float) -> float:
-        v = -float(_sum_terms(terms, "value", x)) + q_scalar(x)
+        v = -g(x) + q_scalar(x)
         return v if math.isfinite(v) else -math.inf
 
-    def h_scalar(x: float) -> float:
-        return float(_sum_terms(terms, "d1", x))
-
-    peak = quadrature.exponent_peak(h_scalar, 0.0, X_MIN_REGULAR)
+    peak = quadrature.exponent_peak(_scalar_sum(terms, "d1"), 0.0,
+                                    X_MIN_REGULAR)
     log_mass = quadrature.log_integral(L, peak)
     return LightTailDensity(
         terms=terms, class_tag=class_tag, log_c=-log_mass, q=q,
@@ -268,7 +329,7 @@ def double_exp(q=None) -> LightTailDensity:
 
 
 def _psi_scalar(d: LightTailDensity, u: float) -> float:
-    h = lambda x: float(d.g_prime(x))
+    h = d.g_prime_scalar
     lo = X_MIN_REGULAR
     h_lo = h(lo)
     if u < h_lo - abs(h_lo) * 1e-12 - 1e-300:
@@ -293,7 +354,7 @@ def psi(d: LightTailDensity, u):
     """
     u_arr = np.asarray(u, dtype=float)
     if d.psi_closed is not None:
-        h0 = float(d.g_prime(X_MIN_REGULAR * 1e-12))  # support edge value
+        h0 = d.g_prime_scalar(X_MIN_REGULAR * 1e-12)  # support edge value
         if np.any(u_arr < h0):
             raise OutOfRange("u below the range of h")
         out = np.asarray(d.psi_closed(u_arr), dtype=float)
@@ -473,7 +534,7 @@ def verify_class(d: LightTailDensity, grid) -> ClassReport:
     if d.q is not None:
         worst = 0.0
         for x in x_grid:
-            bound = 1.0 / math.sqrt(x * float(d.g_prime(x)))
+            bound = 1.0 / math.sqrt(x * d.g_prime_scalar(x))
             for v in np.linspace(x * (1.0 - THETA) + 1e-12, x * (1.0 + THETA), 7):
                 worst = max(worst, abs(float(d.q(v))) / bound)
         checks.append(ClassCheck("perturbation_bound", worst <= 1.0 + 1e-9,

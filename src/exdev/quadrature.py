@@ -7,6 +7,11 @@ cut where the normalized integrand falls below exp(-DROP), and scipy's
 adaptive quadrature runs on the bounded window with the peak registered as a
 breakpoint.  Values are returned on the log scale, so exponents of order 1e5
 are routine.
+
+The callbacks L and h are scalar Python functions called once per node.  The
+densities and tilting layers build them on the scalar term path
+(`LightTailDensity.g_scalar`, `g_prime_scalar`), which equals the array path
+g(x), g'(x) bit for bit, so quad sees the same values either way.
 """
 
 from __future__ import annotations

@@ -7,6 +7,10 @@ finite-differencing log phi; finite differences exist only as cross-checks in
 the test suite.  For large t the comparison scale is the inverse function
 psi = h^{-1}: m ~ psi, s2 ~ psi', with the third-moment ratio recorded
 against the reference constant (M6-3)/2 as a diagnostic.
+
+The tilted exponent t*x - g(x), the peak equation h(x) = t and the guess
+h(a) of invert_m run on the scalar term path (`g_scalar`, `g_prime_scalar`),
+which equals the array path's g and g' bit for bit.
 """
 
 from __future__ import annotations
@@ -74,18 +78,19 @@ class TiltedDensity:
 
 
 def _exponent_callable(d: LightTailDensity, t: float):
+    g, q = d.g_scalar, d.q
+
     def L(x: float) -> float:
-        v = t * x - float(d.g(x))
-        if d.q is not None:
-            v += float(d.q(x))
+        v = t * x - g(x)
+        if q is not None:
+            v += float(q(x))
         return v if math.isfinite(v) else -math.inf
 
     return L
 
 
 def _tilt_peak(d: LightTailDensity, t: float) -> float:
-    return quadrature.exponent_peak(
-        lambda x: float(d.g_prime(x)), t, X_MIN_REGULAR)
+    return quadrature.exponent_peak(d.g_prime_scalar, t, X_MIN_REGULAR)
 
 
 @lru_cache(maxsize=65536)
@@ -116,8 +121,8 @@ def invert_m(d: LightTailDensity, a: float) -> TiltedDensity:
     """Solve m(t) = a for t >= 0.
 
     Initial guess t0 = h(a) (exact to leading order at extreme levels),
-    bracket by doubling/halving, then safeguarded Newton with s2 = m' and
-    bisection fallback.  Raises NotSolvable when a is below the base mean
+    then safeguarded Newton with s2 = m' and bisection fallback, the bracket
+    above t0 grown by doubling only when a step needs it.  Raises NotSolvable when a is below the base mean
     and OutOfRange when it is above m(T_CAP).
     """
     if not (math.isfinite(a) and a > 0.0):
@@ -129,7 +134,7 @@ def invert_m(d: LightTailDensity, a: float) -> TiltedDensity:
     if abs(a - base.m) <= REL_TOL * abs(a):
         return base
 
-    t0 = float(d.g_prime(a))
+    t0 = d.g_prime_scalar(a)
     if not (math.isfinite(t0) and t0 > 0.0):
         t0 = (a - base.m) / base.s2
     t0 = min(max(t0, 1e-12), T_CAP)
@@ -147,49 +152,33 @@ def _solve_mean(m_s2: Callable[[float], tuple[float, float]], a: float,
                 t0: float, at_zero: tuple[float, float]) -> float:
     """t >= 0 with m(t) = a for an increasing mean map, m_s2(t) = (m, m').
 
-    Brackets from the guess t0 by doubling/halving (at_zero stands in for
-    m_s2(0.0)), starts at the bracket end closer to a, then runs Newton
-    steps that fall back to bisection when they leave the bracket.  Raises
-    OutOfRange, naming m(T_CAP), when a lies above it.
+    at_zero stands in for m_s2(0.0) and must lie below a.  When m(t0) < a,
+    Newton starts from t0 inside (t0, 2 t0), and the top of that bracket is
+    evaluated, doubled while m stays below a, only when a step leaves it;
+    otherwise it starts from the end of (0, t0) closer to a.  Steps that
+    leave the bracket fall back to bisection.  Raises OutOfRange, naming
+    m(T_CAP), when a lies above it.
     """
-    lo, hi = 0.0, t0
-    c_hi = m_s2(hi)
-    if abs(c_hi[0] - a) <= REL_TOL * abs(a):
-        return hi  # an exact guess, e.g. an all-ones pushforward's scalar tilt
-    grow = 0
-    while c_hi[0] < a:
-        if hi >= T_CAP:
-            raise OutOfRange(
-                f"level {a!r} is beyond the largest reachable level "
-                f"m(t_cap) = {c_hi[0]!r} (tilt cap t_cap = {T_CAP:g})")
-        lo = hi
-        hi = min(2.0 * hi, T_CAP)
-        grow += 1
-        if grow > 120:
-            raise BracketFail("could not bracket the tilt from above")
-        c_hi = m_s2(hi)
-    # lo currently has m(lo) < a unless t0 overshot on the first try
-    c_lo = m_s2(lo) if lo > 0.0 else at_zero
-    while c_lo[0] > a:
-        hi, c_hi = lo, c_lo
-        lo *= 0.5
-        if lo < 1e-300:
-            lo, c_lo = 0.0, at_zero
-            break
-        c_lo = m_s2(lo)
-
-    t, (m, s2) = ((hi, c_hi) if abs(c_hi[0] - a) < abs(c_lo[0] - a)
-                  else (lo, c_lo))
+    c0 = m_s2(t0)
+    if c0[0] < a:
+        lo, hi, hi_checked = t0, min(2.0 * t0, T_CAP), False
+        t, (m, s2) = t0, c0
+    else:
+        lo, hi, hi_checked = 0.0, t0, True
+        t, (m, s2) = ((0.0, at_zero) if abs(at_zero[0] - a) < abs(c0[0] - a)
+                      else (t0, c0))
     for _ in range(MAX_ITER):
         if abs(m - a) <= REL_TOL * abs(a):
             return t
         if m > a:
-            hi = min(hi, t)
+            hi, hi_checked = min(hi, t), True
         else:
             lo = max(lo, t)
-        step = (a - m) / s2
-        t_new = t + step
-        if not (lo < t_new < hi):
+        t_new = t + (a - m) / s2
+        if not (lo < t_new < hi or hi_checked):
+            lo, hi = _grow_bracket(m_s2, a, lo, hi)
+            hi_checked = True
+        if not lo < t_new < hi:
             t_new = 0.5 * (lo + hi)
         t = t_new
         m, s2 = m_s2(t)
@@ -197,6 +186,22 @@ def _solve_mean(m_s2: Callable[[float], tuple[float, float]], a: float,
         return t
     raise BracketFail(
         f"tilt inversion stalled: residual {abs(m - a):.3e} at t={t!r}")
+
+
+def _grow_bracket(m_s2: Callable[[float], tuple[float, float]], a: float,
+                  lo: float, hi: float) -> tuple[float, float]:
+    """(lo, hi) with m(hi) >= a, doubling hi (and moving lo up to it) while
+    m(hi) < a; OutOfRange once hi reaches T_CAP below a."""
+    for _ in range(120):
+        m_hi = m_s2(hi)[0]
+        if m_hi >= a:
+            return lo, hi
+        if hi >= T_CAP:
+            raise OutOfRange(
+                f"level {a!r} is beyond the largest reachable level "
+                f"m(t_cap) = {m_hi!r} (tilt cap t_cap = {T_CAP:g})")
+        lo, hi = hi, min(2.0 * hi, T_CAP)
+    raise BracketFail("could not bracket the tilt from above")
 
 
 def tilt_to_mean(d: LightTailDensity, a: float) -> TiltedDensity:

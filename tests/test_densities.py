@@ -80,6 +80,43 @@ def test_h_matches_term_derivatives(weibull3):
     np.testing.assert_allclose(weibull3.h_prime(x), 6.0 * x + 2.0 / x ** 2, rtol=1e-12)
 
 
+# x = 0 (log term -inf, coef/0 infinite), subnormals, 1 and its neighbours,
+# and the overflow points of exp(x) (709.78) and exp(0.5 x) (1419.57)
+SCALAR_EDGES = [0.0, -0.0, 5e-324, 1e-300, 1e-12, 1.0, 1.0 - 2 ** -53,
+                1.0 + 2 ** -52, 709.78, 710.0, 1419.5, 1420.0, 1e4, 1e300]
+
+
+def _scalar_points(count=40_000):
+    rng = np.random.default_rng(11)
+    rest = count - len(SCALAR_EDGES)
+    return np.concatenate([
+        SCALAR_EDGES,
+        1.0 + rng.normal(scale=1e-8, size=rest // 4),
+        rng.uniform(0.0, 5.0, rest // 4),
+        rng.uniform(0.0, 3000.0, rest // 4),
+        np.exp(rng.uniform(-690.0, 690.0, rest - 3 * (rest // 4))),
+    ]).tolist()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: weibull(2.0), lambda: weibull(2.5), lambda: weibull(3.0),
+    lambda: exdev.double_exp(),
+    # the golden run's custom list, power:1:1.5,log:-0.5,exp:0.2:0.5
+    lambda: density_from_terms(
+        (PowerTerm(1.0, 1.5), LogTerm(-0.5), ExpTerm(0.2, 0.5)),
+        class_tag=ClassTag("infinity")),
+], ids=["weibull2", "weibull2.5", "weibull3", "double_exp", "cust"])
+def test_scalar_path_is_bit_identical(make):
+    d = make()
+    xs = _scalar_points()
+    assert len(xs) == 40_000
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for scalar, array in ((d.g_scalar, d.g), (d.g_prime_scalar, d.g_prime)):
+            got = np.array([scalar(x) for x in xs])
+            want = np.array([float(array(x)) for x in xs])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_psi_inverts_h(weibull25):
     x = np.linspace(1.0, 40.0, 25)
     u = weibull25.h(x)

@@ -23,7 +23,8 @@ from exdev import (
     tilt_to_mean,
     weibull,
 )
-from exdev.tilting import density_mean
+from exdev import tilting
+from exdev.tilting import _solve_mean, density_mean
 
 from helpers import simpson_integral
 
@@ -149,6 +150,29 @@ def test_invert_m_names_largest_reachable_level(dexp):
     assert invert_m(dexp, 0.5 * top).m == pytest.approx(0.5 * top, rel=1e-9)
     with pytest.raises(OutOfRange, match=repr(top)):
         invert_m(dexp, top + 1.0)
+
+
+@pytest.mark.parametrize("n,cold", [(8, 5), (32, 4), (128, 4)])
+def test_invert_m_cold_cumulants(n, cold):
+    # the base law, the guess h(a) and the Newton steps, which stay inside
+    # (t0, 2 t0) and so never need m(2 t0)
+    d = weibull(2.5)
+    tilting._cumulants_cached.cache_clear()
+    invert_m(d, n ** 0.35)
+    assert tilting._cumulants_cached.cache_info().misses == cold
+
+
+def test_solve_mean_grows_the_bracket_only_when_a_step_leaves_it():
+    seen = []
+
+    def m_s2(t):
+        seen.append(t)
+        return t, 1.0
+
+    # Newton's first step from t0 = 1 lands on 10, outside (1, 2): the top
+    # doubles to 16, and the step, now inside (8, 16), is kept
+    assert _solve_mean(m_s2, 10.0, 1.0, (0.0, 1.0)) == 10.0
+    assert seen == [1.0, 2.0, 4.0, 8.0, 16.0, 10.0]
 
 
 @given(st.floats(min_value=0.2, max_value=50.0))
