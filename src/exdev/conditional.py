@@ -18,12 +18,14 @@ draws); only the chains whose proposal was rejected draw again.
 Exceedance constraint: iid rows from the a-tilted product law, accepted
 when the row sum clears n a, reweighted by exp(-t (sum - n a)) to undo the
 tilt on the overshoot.  Weights lie in (0, 1], so the effective sample size
-is reported rather than assumed.  Rows are proposed in blocks sized to the
-rows still needed over the acceptance (1/2 before the first block, the
-observed rate after it), with a 10% margin, at least 1024 and at most
-BLOCK_ROWS rows.  The tilted draws form one stream whatever the block sizes,
-so the kept rows are the first `count` rows of that stream to clear the
-level: block sizes move only how many rows are drawn, never the sample.
+is reported rather than assumed.  Rows stream from the tilted table in
+blocks of one reused, cache-sized buffer (`CdfTable.row_blocks`) until
+`count` of them have cleared the level; a kept row is copied out of the
+buffer, so memory stays one block plus the sample, and at most one block's
+rows are drawn and not needed.  The tilted draws form one stream whatever
+the block size, so the kept rows are the first `count` rows of that stream
+to clear the level: the block size moves only how many rows are drawn,
+never the sample.
 """
 
 from __future__ import annotations
@@ -245,10 +247,6 @@ def sample_point_conditional(d: LightTailDensity, cond: ConditionDescriptor,
 # ---------------------------------------------------------------------------
 # exceedance sampler
 
-# most proposal rows in one exceedance block (the block is rows * n draws)
-BLOCK_ROWS = 65536
-
-
 def sample_exceedance_conditional(d: LightTailDensity,
                                   cond: ConditionDescriptor, count: int,
                                   seed: int = 0,
@@ -258,17 +256,17 @@ def sample_exceedance_conditional(d: LightTailDensity,
 
     Proposes iid rows from the a_n-tilted product law, keeps the first
     `count` rows whose sum clears the level, and weights each kept row by
-    exp(-t (sum - level)).  Each block proposes 1.1 (count - kept) / rate
-    rows, clipped to [1024, BLOCK_ROWS], where rate is 1/2 before the first
-    block (the tilted sum is centered exactly at the boundary) and hits /
-    proposed after it.  The draws are one stream of the seeded generator
-    whatever the block sizes, so the sample depends on the seed alone.
-    `acceptance` is count over the proposal rows up to and including the
-    last kept row, also independent of block sizes; meta["proposals"] is
-    the number of rows drawn.  Below a running acceptance of 1e-4 the tilt
-    is wrong or the budget hopeless and LowAcceptance is raised.  Keeps the
-    first coordinate of each row, plus per-row min and max so window checks
-    over all coordinates need no full states.
+    exp(-t (sum - level)).  Rows come in blocks of `CdfTable.row_blocks`
+    (BLOCK // n rows in one reused buffer) until `count` rows are kept, so
+    fewer than one block's rows are drawn and not needed.  The draws are one
+    stream of the seeded generator whatever the block size, so the sample
+    depends on the seed alone.  `acceptance` is count over the proposal rows
+    up to and including the last kept row, also independent of the block
+    size; meta["proposals"] is the number of rows drawn.  Below a running
+    acceptance of 1e-4 the tilt is wrong or the budget hopeless and
+    LowAcceptance is raised.  Keeps the first coordinate of each row, plus
+    per-row min and max so window checks over all coordinates need no full
+    states.
     """
     if cond.kind != "exceedance":
         raise DomainError("exceedance sampler needs an exceedance descriptor")
@@ -285,14 +283,7 @@ def sample_exceedance_conditional(d: LightTailDensity,
     proposed = 0
     through_last = 0
     parts_c, parts_s, parts_mn, parts_mx = [], [], [], []
-    while got < count:
-        if proposed > max_proposals:
-            raise LowAcceptance(
-                f"still {count - got} rows short after {proposed} proposals")
-        rate = hits / proposed if proposed else 0.5
-        want = 1.1 * (count - got) / rate if rate > 0.0 else BLOCK_ROWS
-        rows = max(1024, math.ceil(min(BLOCK_ROWS, want)))
-        block = table.sample(rows * n, rng).reshape(rows, n)
+    for block in table.row_blocks(n, rng):
         s = block.sum(axis=1)
         hit = np.flatnonzero(s >= level)
         hits += hit.size
@@ -305,10 +296,15 @@ def sample_exceedance_conditional(d: LightTailDensity,
             parts_mx.append(kept.max(axis=1))
             got += keep.size
             through_last = proposed + int(keep[-1]) + 1
-        proposed += rows
+        proposed += block.shape[0]
         if proposed >= 200_000 and hits / proposed < 1e-4:
             raise LowAcceptance(
                 f"acceptance {hits / proposed:.2e} after {proposed} proposals")
+        if got == count:
+            break
+        if proposed > max_proposals:
+            raise LowAcceptance(
+                f"still {count - got} rows short after {proposed} proposals")
 
     coords = np.concatenate(parts_c, axis=0)
     sums = np.concatenate(parts_s)

@@ -370,6 +370,7 @@ class PsiFunction:
     """psi = h^{-1} with first and second derivatives.
 
     psi'(u) = 1/h'(psi(u)); psi''(u) = -h''(psi(u))/h'(psi(u))^3.
+    `with_derivatives` returns all three from one solve of h(x) = u.
     """
 
     density: LightTailDensity
@@ -382,12 +383,15 @@ class PsiFunction:
         return 1.0 / np.asarray(self.density.g_second(x), dtype=float)[()]
 
     def second(self, u):
+        return self.with_derivatives(u)[2]
+
+    def with_derivatives(self, u):
+        """(psi, psi', psi'') at u from one solve of h(x) = u."""
         d = self.density
         x = psi(d, u)
         h1 = np.asarray(d.g_second(x), dtype=float)
         h2 = np.asarray(d.g_third(x), dtype=float)
-        out = -h2 / h1 ** 3
-        return out[()] if out.ndim == 0 else out
+        return x, (1.0 / h1)[()], (-h2 / h1 ** 3)[()]
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,24 @@ entries differ by more than one, which happens only in the tails where knots
 are dense in F); those few draws fall back to a binary search.  The cubic is
 then evaluated in the same order as scipy's PPoly, so every value equals
 `PchipInterpolator(F, x)(u)` bit for bit.  Draws are filled and transformed
-in place in blocks of 2^16, so the intermediates stay in cache.
+in place in blocks of BLOCK = 2^16, so the intermediates stay in cache; the
+six scratch arrays of a block are made once per thread and reused, so threads
+can share a table and a call allocates nothing but its output.
+
+`CdfTable.row_blocks(n, rng, rows)` is the one way rows of n iid draws are
+made: it yields (k, n) views of a single buffer of k n <= max(BLOCK, n)
+draws, each block overwriting the last, and fills every block through
+`sample(..., out=)`.  `sample` consumes one uniform per draw whatever the
+split, so the rows are those of `sample(rows * n, rng).reshape(rows, n)` bit
+for bit, while the memory a row consumer holds stays one block.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -67,14 +77,32 @@ class CdfTable:
         u[nan] = np.nan
         return u[()] if u.ndim == 0 else u
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        out = np.empty(count, dtype=float)
+    def sample(self, count: int, rng: np.random.Generator,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+        """count iid draws, written into `out` (float, contiguous, of size
+        count) when given."""
+        if out is None:
+            out = np.empty(count, dtype=float)
+        elif out.size != count:
+            raise ValueError(f"out has {out.size} slots for {count} draws")
         work = _work_arrays(min(count, BLOCK))
         for lo in range(0, count, BLOCK):
             block = out[lo:lo + BLOCK]
             rng.random(out=block)
             self._invert(block, work)
         return out
+
+    def row_blocks(self, n: int, rng: np.random.Generator,
+                   rows: Optional[int] = None) -> Iterator[np.ndarray]:
+        """Rows of n iid draws, `rows` in all (endless when None), as (k, n)
+        views of one buffer that the next block overwrites."""
+        step = max(BLOCK // n, 1)
+        buf = np.empty(step * n, dtype=float)
+        left = math.inf if rows is None else rows
+        while left > 0:
+            k = min(step, left)
+            yield self.sample(k * n, rng, out=buf[:k * n]).reshape(k, n)
+            left -= k
 
     def _invert(self, u: np.ndarray, work: tuple) -> None:
         """Overwrite u (values in [0, 1]) with x(u)."""
@@ -108,10 +136,18 @@ class CdfTable:
         u += tmp
 
 
+_scratch = threading.local()
+
+
 def _work_arrays(m: int) -> tuple:
-    """Scratch for one block, made per call so threads can share a table."""
-    return (np.empty(m, dtype=np.intp), np.empty(m, dtype=np.intp),
-            np.empty(m, dtype=bool), np.empty(m), np.empty(m), np.empty(m))
+    """This thread's scratch for a block of m draws, grown when too small."""
+    work = getattr(_scratch, "work", None)
+    if work is None or work[0].size < m:
+        work = _scratch.work = (np.empty(m, dtype=np.intp),
+                                np.empty(m, dtype=np.intp),
+                                np.empty(m, dtype=bool), np.empty(m),
+                                np.empty(m), np.empty(m))
+    return work
 
 
 def _knot_layout(peak: float, scale: float, lo: float, hi: float,

@@ -10,9 +10,10 @@ The quantity lambda_n = sqrt(n) t s(t) measures how deep into the asymptotic
 regime the call sits; below 5 the prefactor is unreliable and the estimate is
 flagged (and a warning emitted) rather than refused.
 
-The oracle draws iid blocks from the a-tilted law, weights the exceedance
-indicator back to the base measure, and accumulates everything in log space
-so that probabilities near 1e-300 come out with honest relative error bars.
+The oracle draws iid rows from the a-tilted law, streamed through one
+cache-sized buffer per batch, weights the exceedance indicator back to the
+base measure, and accumulates everything in log space so that probabilities
+near 1e-300 come out with honest relative error bars.
 """
 
 from __future__ import annotations
@@ -110,12 +111,13 @@ class ISOracleResult:
 
 def _is_batch(table: CdfTable, rng: np.random.Generator, rows: int, n: int,
               t: float, n_log_phi: float, na: float):
-    """One block of importance draws: returns (log-weights of hits, hits)."""
-    x = table.sample(rows * n, rng).reshape(rows, n)
-    sums = x.sum(axis=1)
-    hit = sums >= na
-    logw = n_log_phi - t * sums[hit]
-    return logw, int(hit.sum())
+    """One batch of importance draws: returns (log-weights of hits, hits)."""
+    parts = []
+    for x in table.row_blocks(n, rng, rows):
+        sums = x.sum(axis=1)
+        parts.append(n_log_phi - t * sums[sums >= na])
+    logw = np.concatenate(parts)
+    return logw, logw.size
 
 
 def tail_prob_is_oracle(d: LightTailDensity, n: int, a: float,
@@ -130,6 +132,8 @@ def tail_prob_is_oracle(d: LightTailDensity, n: int, a: float,
     seed regardless of thread count: every batch of BATCH_ROWS rows owns a
     SeedSequence child keyed by its index.
     """
+    if n < 1:
+        raise DomainError("n must be >= 1")
     if samples < 1000:
         raise DomainError("need at least 1000 importance samples")
     td = tilt_to_mean(d, a)

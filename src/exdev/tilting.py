@@ -286,9 +286,8 @@ def abelian_check(d: LightTailDensity, t_grid) -> AbelianReport:
     m = np.array([c.m for c in cs])
     s2 = np.array([c.s2 for c in cs])
     mu3 = np.array([c.mu3 for c in cs])
-    ps = np.array([float(pf(t)) for t in t_grid])
-    p1 = np.array([float(pf.prime(t)) for t in t_grid])
-    p2 = np.array([float(pf.second(t)) for t in t_grid])
+    psis = [pf.with_derivatives(t) for t in t_grid]
+    ps, p1, p2 = (np.array([float(v[k]) for v in psis]) for k in range(3))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio_mu3 = mu3 / (MU3_REFERENCE_CONST * p2)
     rep = AbelianReport(
@@ -335,9 +334,7 @@ def growth_report(d: LightTailDensity, n: int, a_n: float) -> GrowthReport:
     if n < 1:
         raise DomainError("n must be >= 1")
     c = invert_m(d, a_n)
-    pf = PsiFunction(d)
-    ps = float(pf(c.t))
-    p1 = float(pf.prime(c.t))
+    ps, p1, _ = (float(v) for v in PsiFunction(d).with_derivatives(c.t))
     return GrowthReport(
         n=n, a_n=a_n, t=c.t,
         lemma_form=ps ** 2 / (math.sqrt(n) * p1),

@@ -2,6 +2,7 @@
 schedule algebra, weighted consistency between the two conditioning modes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from exdev import (
     tilt_to_mean,
     weibull,
 )
-from exdev import conditional
+from exdev import tables
 
 from helpers import ks_statistic, simpson_integral
 
@@ -168,15 +169,33 @@ def test_exceedance_sample_independent_of_block_size(weibull25, monkeypatch):
     # the kept rows are the first `count` hits of one tilted stream, so
     # splitting the proposals into many small blocks changes no byte
     cond = ConditionDescriptor("exceedance", 8, 2.0)
+    wide_rows = tables.BLOCK // 8
     wide = sample_exceedance_conditional(weibull25, cond, 40_000, seed=21)
-    assert wide.meta["proposals"] > conditional.BLOCK_ROWS
-    monkeypatch.setattr(conditional, "BLOCK_ROWS", 1024)
+    assert wide.meta["proposals"] > wide_rows
+    monkeypatch.setattr(tables, "BLOCK", 1024)
     narrow = sample_exceedance_conditional(weibull25, cond, 40_000, seed=21)
-    assert narrow.meta["proposals"] >= 40 * 1024
+    assert narrow.meta["proposals"] >= 40 * 1024 // 8
     for x, y in zip(_exceedance_rows(wide), _exceedance_rows(narrow)):
         np.testing.assert_array_equal(x, y)
     assert narrow.acceptance == wide.acceptance
     assert narrow.ess == wide.ess
+    # fewer than one block's rows are drawn past the last kept row
+    used = round(40_000 / wide.acceptance)
+    assert 0 <= wide.meta["proposals"] - used < wide_rows
+    assert 0 <= narrow.meta["proposals"] - used < 1024 // 8
+
+
+def test_exceedance_sampler_memory_is_one_block(weibull25):
+    # 40000 rows of 128 draws would be 41 MB; only the kept columns stay
+    cond = ConditionDescriptor("exceedance", 128, 2.0)
+    tracemalloc.start()
+    try:
+        sample = sample_exceedance_conditional(weibull25, cond, 40_000, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sample.meta["proposals"] * 128 > 5 * tables.BLOCK
+    assert peak < 16 * 2 ** 20
 
 
 def test_exceedance_sample_is_a_prefix(weibull25):

@@ -1,12 +1,17 @@
-"""Source hygiene: every module of the package uses each name it imports."""
+"""Source hygiene: every module of the package uses each name it imports,
+and every UPPER_CASE constant it defines is read somewhere in the repo."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "exdev"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "exdev"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# where a constant of the package may be read
+READERS = ("src", "tests", "bench", "scripts")
 
 
 def _exported(tree: ast.Module) -> set:
@@ -63,3 +68,59 @@ def test_scan_finds_an_unused_import(tmp_path):
                    "from os import sep\n__all__ = ['sep']\n"
                    "def f(x: Optional[int]):\n    return np.abs(x)\n")
     assert unused_imports(src) == ["mod.py:2 math"]
+
+
+def _constants(tree: ast.Module) -> dict:
+    """{name: line} for UPPER_CASE names bound at module level."""
+    out = {}
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        for t in targets:
+            if isinstance(t, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*",
+                                                        t.id):
+                out[t.id] = node.lineno
+    return out
+
+
+def _reads(tree: ast.Module) -> set:
+    """Names read in a module, bare (X) or as an attribute (mod.X)."""
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)})
+
+
+def names_read(paths) -> set:
+    """Every name the given files read, bare or as an attribute."""
+    return set().union(*(_reads(ast.parse(p.read_text(), filename=str(p)))
+                         for p in paths))
+
+
+def unread_constants(path: Path, read: set) -> list:
+    """['module.py:line NAME', ...] for constants whose name is not in read."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.name}:{line} {name}"
+            for name, line in sorted(_constants(tree).items())
+            if name not in read]
+
+
+@pytest.fixture(scope="module")
+def read_in_repo():
+    return names_read(f for d in READERS for f in (ROOT / d).rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_constants(path, read_in_repo):
+    assert unread_constants(path, read_in_repo) == []
+
+
+def test_scan_finds_an_unread_constant(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("ROWS = 4\nBLOCK: int = 8\nSTEP = ROWS\n"
+                   "LEFT_OVER = 65536\nlower = 1\n")
+    user = tmp_path / "user.py"
+    user.write_text("import mod\nmod.BLOCK = mod.STEP\n")
+    assert unread_constants(src, names_read([src, user])) == [
+        "mod.py:4 LEFT_OVER"]

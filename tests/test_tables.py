@@ -1,6 +1,9 @@
 """Guide-table inverse of the CDF table: bit-identical to the PCHIP
 interpolant it replaces, at the knots, in the wide tail buckets and at the
-ends of [0, 1], for every block size."""
+ends of [0, 1], for every block size; rows streamed through one reused
+buffer are the rows of one long draw."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -72,3 +75,31 @@ def test_ppf_shapes_clipping_and_nan(table):
     assert np.isnan(out[1])
     np.testing.assert_array_equal(_bits(out[[0, 2]]),
                                   _bits(ref([0.25, 0.75])))
+
+
+def test_sample_into_out_matches_fresh_draws(table):
+    buf = np.full(BLOCK + 3, np.nan)
+    got = table.sample(buf.size, np.random.default_rng(8), out=buf)
+    assert got is buf
+    np.testing.assert_array_equal(
+        _bits(buf), _bits(table.sample(buf.size, np.random.default_rng(8))))
+    with pytest.raises(ValueError):
+        table.sample(4, np.random.default_rng(8), out=buf)
+
+
+@pytest.mark.parametrize("n", [1, 10, 256, BLOCK + 5])
+def test_row_blocks_are_rows_of_one_draw(table, n):
+    step = max(BLOCK // n, 1)
+    rows = 2 * step + 3 if step > 1 else 3
+    blocks, bases = [], set()
+    for block in table.row_blocks(n, np.random.default_rng(9), rows):
+        assert block.shape[1] == n and block.size <= max(BLOCK, n)
+        bases.add(block.ctypes.data)
+        blocks.append(block.copy())
+    assert len(bases) == 1  # every block is a view of one buffer
+    ref = table.sample(rows * n, np.random.default_rng(9)).reshape(rows, n)
+    np.testing.assert_array_equal(_bits(np.concatenate(blocks)), _bits(ref))
+    # without a row count the stream goes on, with the same leading rows
+    endless = table.row_blocks(n, np.random.default_rng(9))
+    head = np.concatenate([b.copy() for b in itertools.islice(endless, 2)])
+    np.testing.assert_array_equal(_bits(head), _bits(ref[:head.shape[0]]))

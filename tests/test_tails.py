@@ -125,6 +125,15 @@ def test_is_oracle_deterministic_and_thread_invariant(weibull2):
     assert r3.log_prob != r1.log_prob
 
 
+def test_is_oracle_thread_invariant_over_concurrent_batches(weibull2):
+    # three batches, so two threads sample from one table at the same time
+    r1 = tail_prob_is_oracle(weibull2, 5, 2.5, samples=600_000, seed=7, threads=1)
+    r2 = tail_prob_is_oracle(weibull2, 5, 2.5, samples=600_000, seed=7, threads=2)
+    assert r1.batches == r2.batches == 3
+    assert (r1.log_prob, r1.rel_se, r1.ess, r1.hit_fraction) == \
+        (r2.log_prob, r2.rel_se, r2.ess, r2.hit_fraction)
+
+
 def test_is_oracle_se_scales_with_samples(weibull2):
     r1 = tail_prob_is_oracle(weibull2, 5, 2.5, samples=100_000, seed=5)
     r4 = tail_prob_is_oracle(weibull2, 5, 2.5, samples=400_000, seed=5)
@@ -134,6 +143,12 @@ def test_is_oracle_se_scales_with_samples(weibull2):
 def test_is_oracle_rejects_tiny_budget(weibull2):
     with pytest.raises(DomainError):
         tail_prob_is_oracle(weibull2, 5, 2.5, samples=100)
+
+
+def test_is_oracle_rejects_empty_rows(weibull2):
+    # as tail_prob does; a row of no draws has no block size
+    with pytest.raises(DomainError):
+        tail_prob_is_oracle(weibull2, 0, 2.5, samples=2000)
 
 
 # --- tilted inverse-cdf sampler -----------------------------------------------

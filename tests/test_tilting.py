@@ -205,6 +205,26 @@ def test_abelian_report_tracks_psi(weibull3):
     assert last["psi"] == pytest.approx(float(psi(weibull3, last["t"])), rel=1e-10)
 
 
+def test_abelian_check_solves_psi_once_per_tilt(weibull3, monkeypatch):
+    # psi, psi' and psi'' all come from one solve of h(x) = t
+    from exdev import PsiFunction, densities
+    grid = np.geomspace(10.0, 1e3, 25)
+    calls = []
+    solve = densities._psi_scalar
+
+    def counted(d, u):
+        calls.append(u)
+        return solve(d, u)
+
+    monkeypatch.setattr(densities, "_psi_scalar", counted)
+    rep = abelian_check(weibull3, grid)
+    assert calls == list(grid)
+    pf = PsiFunction(weibull3)
+    np.testing.assert_array_equal(rep.psi, [float(pf(t)) for t in grid])
+    np.testing.assert_array_equal(rep.psi_prime,
+                                  [float(pf.prime(t)) for t in grid])
+
+
 def test_self_neglect_shrinks_with_t(weibull2):
     sups = [self_neglect_check(weibull2, t) for t in (1e2, 1e3)]
     assert sups[1] < sups[0]
