@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""sha256 of the golden CLI outputs, to show a change keeps them byte-identical.
+"""sha256 and values of the golden CLI outputs, to show what a change moves.
 
 Runs twelve experiments from this checkout's src/ in a fresh empty temporary
 directory, each with `--out golden/<name>` (the out path is part of the
@@ -16,11 +16,28 @@ the committed hashes:
 which exits 1 and names each file whose hash differs from (or is missing
 in) the committed list.  A change that moves output bytes on purpose
 updates scripts/golden.sha256 in the same commit.
+
+To see which numbers moved, write the outputs of two checkouts and compare
+them field by field:
+
+    python3 scripts/golden_hashes.py --values ../old   # in the old checkout
+    python3 scripts/golden_hashes.py --values ../new   # in the new one
+    python3 scripts/golden_hashes.py --compare ../old ../new
+
+--compare prints, for each file that differs, every numeric field with the
+largest relative change over its values (0 when bit-identical), flags a
+changed non-numeric field, and names the files with no change; it exits 1
+when anything differs.  A CSV field is a column; a JSON field is a key path
+with list positions dropped, so `results.tv` covers every entry of the list.
 """
 
 import argparse
+import csv
 import hashlib
+import json
+import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -58,26 +75,123 @@ RUNS = {
 }
 
 
-def golden_hashes() -> dict:
-    """{file name: sha256} of the golden outputs of this checkout."""
+def run_golden(workdir: Path) -> Path:
+    """Run every golden experiment in the empty directory workdir and return
+    the directory holding their outputs."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    for name, args in RUNS.items():
+        subprocess.run([sys.executable, "-m", "exdev", *args,
+                        "--out", f"golden/{name}"],
+                       cwd=workdir, env=env, check=True)
+    return workdir / "golden"
+
+
+def golden_hashes() -> dict:
+    """{file name: sha256} of the golden outputs of this checkout."""
     with tempfile.TemporaryDirectory() as tmp:
-        for name, args in RUNS.items():
-            subprocess.run([sys.executable, "-m", "exdev", *args,
-                            "--out", f"golden/{name}"],
-                           cwd=tmp, env=env, check=True)
         return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-                for path in sorted(Path(tmp, "golden").iterdir())}
+                for path in sorted(run_golden(Path(tmp)).iterdir())}
 
 
-def main() -> int:
+def write_values(dest: Path) -> None:
+    """Copy the golden outputs of this checkout into dest."""
+    dest.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for path in sorted(run_golden(Path(tmp)).iterdir()):
+            shutil.copyfile(path, dest / path.name)
+
+
+def _fields(path: Path) -> dict:
+    """{field: [values]} of one golden CSV or JSON file."""
+    if path.suffix == ".csv":
+        header, *rows = csv.reader(path.read_text().splitlines())
+        return {name: [row[i] for row in rows]
+                for i, name in enumerate(header)}
+    fields = {}
+
+    def walk(node, name):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, f"{name}.{key}" if name else key)
+        elif isinstance(node, list):
+            for value in node:
+                walk(value, name)
+        else:
+            fields.setdefault(name, []).append(node)
+
+    walk(json.loads(path.read_text()), "")
+    return fields
+
+
+def _number(value):
+    """value as a float, or None when it is not a number."""
+    if isinstance(value, bool) or value is None:
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _relative_change(old: float, new: float) -> float:
+    if old == new or (math.isnan(old) and math.isnan(new)):
+        return 0.0
+    return abs(new - old) / abs(old) if old != 0.0 else math.inf
+
+
+def compare(old_dir: Path, new_dir: Path) -> list:
+    """Report lines of a field-by-field comparison of two --values dirs: one
+    per field of each file that differs, then one naming the same files."""
+    lines, same = [], []
+    names = sorted({p.name for p in old_dir.iterdir()}
+                   | {p.name for p in new_dir.iterdir()})
+    for name in names:
+        old_path, new_path = old_dir / name, new_dir / name
+        if not (old_path.exists() and new_path.exists()):
+            where = old_dir if old_path.exists() else new_dir
+            lines.append(f"{name}: only in {where}")
+            continue
+        if old_path.read_bytes() == new_path.read_bytes():
+            same.append(name)
+            continue
+        old, new = _fields(old_path), _fields(new_path)
+        for field in sorted(old.keys() | new.keys()):
+            a, b = old.get(field), new.get(field)
+            if a is None or b is None or len(a) != len(b):
+                lines.append(f"{name}: {field} has a different shape")
+                continue
+            pairs = [(_number(x), _number(y)) for x, y in zip(a, b)]
+            if any(x is None or y is None for x, y in pairs):
+                if a != b:
+                    lines.append(f"{name}: {field} changed (not numeric)")
+                continue
+            worst = max((_relative_change(x, y) for x, y in pairs),
+                        default=0.0)
+            lines.append(f"{name}: {field} max relative change {worst:.3g}")
+    lines.append("unchanged: " + (" ".join(same) if same else "none"))
+    return lines
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", metavar="FILE",
-                        help="compare with the '<sha256>  <file>' lines of "
-                             "FILE instead of printing")
-    args = parser.parse_args()
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--check", metavar="FILE",
+                      help="compare with the '<sha256>  <file>' lines of "
+                           "FILE instead of printing")
+    mode.add_argument("--values", metavar="DIR",
+                      help="write the golden output files into DIR")
+    mode.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                      help="compare two --values directories field by field")
+    args = parser.parse_args(argv)
+    if args.values is not None:
+        write_values(Path(args.values))
+        return 0
+    if args.compare is not None:
+        lines = compare(*map(Path, args.compare))
+        print("\n".join(lines))
+        return 1 if len(lines) > 1 else 0  # the last line lists the same
     hashes = golden_hashes()
     if args.check is None:
         for name, digest in hashes.items():

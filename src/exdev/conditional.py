@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.special import ndtr
 
 from .densities import ExpTerm, LightTailDensity, LogTerm, PowerTerm
@@ -83,12 +84,12 @@ class ConditionDescriptor:
 class ConditionalSample:
     """Retained conditional draws plus the diagnostics the checks need.
 
-    coords holds the leading coordinates of each retained state (point case:
-    one row per chain per retained time).  For the point sampler, pooled
-    optionally carries every coordinate of every retained state grouped by
-    chain, shape (chains, retained*n); exchangeability makes all coordinates
-    share the first-coordinate marginal, so pooling buys sample size for
-    histogram work while chain grouping keeps an honest bootstrap unit.
+    coords holds the first coordinate of each retained state (point case:
+    one row per chain per retained time, time-major).  For the point
+    sampler, pooled optionally carries every coordinate of every retained
+    state grouped by chain, shape (chains, retained*n); exchangeability makes
+    all coordinates share the first-coordinate marginal, so pooling buys
+    sample size while the chain stays the bootstrap unit.
     """
 
     descriptor: Optional[ConditionDescriptor]
@@ -105,12 +106,17 @@ class ConditionalSample:
     meta: dict = field(default_factory=dict)
 
     def tv_blocks(self):
-        """(values grouped by resampling unit, per-unit weights or None)."""
+        """(values grouped by resampling unit, shape (units, values per unit);
+        the weight of each unit).  A unit is a chain for Gibbs output, whose
+        time-major coords are regrouped here, and a row for iid draws."""
         if self.pooled is not None:
-            return self.pooled, None
-        if self.weights is not None:
-            return self.coords[:, :1], self.weights
-        return self.coords[:, :1], None
+            blocks = self.pooled
+        elif "chains" in self.meta:
+            blocks = self.coords[:, 0].reshape(-1, self.meta["chains"]).T
+        else:
+            blocks = self.coords[:, :1]
+        w = np.ones(blocks.shape[0]) if self.weights is None else self.weights
+        return blocks, w
 
     @classmethod
     def from_values(cls, values, descriptor=None, weights=None, seed=0):
@@ -177,8 +183,7 @@ def sample_point_conditional(d: LightTailDensity, cond: ConditionDescriptor,
                              chains: int = 256, steps: Optional[int] = None,
                              burn_in: Optional[int] = None,
                              stride: Optional[int] = None, seed: int = 0,
-                             pool_all: bool = False,
-                             keep_coords: int = 1) -> ConditionalSample:
+                             pool_all: bool = False) -> ConditionalSample:
     """Pairwise-Gibbs draws from the law of (X_1..X_n) given sum = n a_n.
 
     Counts are in pair-steps (one step updates one pair in every chain).
@@ -207,7 +212,6 @@ def sample_point_conditional(d: LightTailDensity, cond: ConditionDescriptor,
 
     rng = np.random.default_rng(seed)
     x = np.full((chains, n), float(a))
-    keep = max(1, min(keep_coords, n))
     level = n * a
 
     coords = []
@@ -222,7 +226,7 @@ def sample_point_conditional(d: LightTailDensity, cond: ConditionDescriptor,
         x[:, j] = c - u
         k = step - burn_in + 1
         if k > 0 and k % stride == 0:
-            coords.append(x[:, :keep].copy())
+            coords.append(x[:, :1].copy())
             sums.append(x.sum(axis=1))
             if pooled is not None:
                 pooled.append(x.copy())
@@ -247,11 +251,13 @@ def sample_point_conditional(d: LightTailDensity, cond: ConditionDescriptor,
 # ---------------------------------------------------------------------------
 # exceedance sampler
 
+# proposal rows drawn before LowAcceptance gives up on a short sample
+MAX_PROPOSALS = 400_000_000
+
+
 def sample_exceedance_conditional(d: LightTailDensity,
                                   cond: ConditionDescriptor, count: int,
-                                  seed: int = 0,
-                                  max_proposals: int = 400_000_000
-                                  ) -> ConditionalSample:
+                                  seed: int = 0) -> ConditionalSample:
     """Weighted iid draws from the law of (X_1..X_n) given sum >= n a_n.
 
     Proposes iid rows from the a_n-tilted product law, keeps the first
@@ -262,11 +268,10 @@ def sample_exceedance_conditional(d: LightTailDensity,
     stream of the seeded generator whatever the block size, so the sample
     depends on the seed alone.  `acceptance` is count over the proposal rows
     up to and including the last kept row, also independent of the block
-    size; meta["proposals"] is the number of rows drawn.  Below a running
-    acceptance of 1e-4 the tilt is wrong or the budget hopeless and
-    LowAcceptance is raised.  Keeps the first coordinate of each row, plus
-    per-row min and max so window checks over all coordinates need no full
-    states.
+    size; meta["proposals"] is the number of rows drawn.  A running
+    acceptance below 1e-4 (a wrong tilt) or MAX_PROPOSALS rows drawn raises
+    LowAcceptance.  Keeps the first coordinate of each row, plus per-row min
+    and max so window checks over all coordinates need no full states.
     """
     if cond.kind != "exceedance":
         raise DomainError("exceedance sampler needs an exceedance descriptor")
@@ -302,7 +307,7 @@ def sample_exceedance_conditional(d: LightTailDensity,
                 f"acceptance {hits / proposed:.2e} after {proposed} proposals")
         if got == count:
             break
-        if proposed > max_proposals:
+        if proposed > MAX_PROPOSALS:
             raise LowAcceptance(
                 f"still {count - got} rows short after {proposed} proposals")
 
@@ -334,12 +339,10 @@ class TVEstimate:
             raise DomainError("TV interval must satisfy 0<=lo<=tv<=hi<=1")
 
 
-def _fd_bin_count(values: np.ndarray, lo: float, hi: float) -> int:
-    q75, q25 = np.percentile(values, [75.0, 25.0])
-    iqr = q75 - q25
+def _fd_bin_count(iqr: float, size: int, lo: float, hi: float) -> int:
     if iqr <= 0.0:
         return 10
-    width = 2.0 * iqr / values.size ** (1.0 / 3.0)
+    width = 2.0 * iqr / size ** (1.0 / 3.0)
     bins = int(np.ceil((hi - lo) / width)) if width > 0 else 400
     return int(min(400, max(10, bins)))
 
@@ -364,70 +367,62 @@ def marginal_tv(sample: ConditionalSample, reference,
     reference law with a vectorized .pdf (tilted density or the second-order
     reference).
 
-    Binned estimate: Freedman-Diaconis width capped to [10, 400] bins,
-    reference bin masses by per-bin Simpson quadrature; reference mass
-    falling outside the binned range counts in full.  The interval is a
-    percentile bootstrap over resampling units (chains for pooled Gibbs
-    output, rows for weighted iid output) with TV_BOOTSTRAP replicates,
-    clamped to bracket the point estimate.
+    Binned estimate: Freedman-Diaconis width capped to [10, 400] bins
+    [e_i, e_i+1), reference bin masses by per-bin Simpson quadrature; mass
+    outside the binned range counts in full.  The interval is a percentile
+    bootstrap with TV_BOOTSTRAP replicates, clamped to bracket the point
+    estimate; each replicate redraws the sample's units (tv_blocks: chains
+    for Gibbs output, rows otherwise) with replacement and sums their masses.
     """
     ref_pdf = reference.pdf if hasattr(reference, "pdf") else reference
     blocks, weights = sample.tv_blocks()
-    flat = blocks.ravel()
-    if flat.size < 1000:
-        raise TooFewSamples(f"{flat.size} draws < 1000")
-    lo_q, hi_q = np.percentile(flat, [0.01, 99.99])
+    vals = np.sort(blocks, axis=1)  # bins in runs, percentiles partition fast
+    units, size = vals.shape[0], vals.size
+    if size < 1000:
+        raise TooFewSamples(f"{size} draws < 1000")
+    lo_q, hi_q, q75, q25 = np.percentile(vals, [0.01, 99.99, 75.0, 25.0])
     pad = 0.05 * (hi_q - lo_q) + 1e-12
     lo, hi = max(0.0, lo_q - pad), hi_q + pad
-    nb = _fd_bin_count(flat, lo, hi)
+    nb = _fd_bin_count(q75 - q25, size, lo, hi)
     edges = np.linspace(lo, hi, nb + 1)
     ref_mass = _reference_bin_masses(ref_pdf, edges)
     ref_out = max(0.0, 1.0 - ref_mass.sum())
 
+    # column u of per_bin holds unit u's bin masses, one entry per run of a
+    # slot in its sorted values; slots 0 (below lo) and nb + 1 (from hi on)
+    # both fold into bin nb, the mass outside the range
+    key = np.searchsorted(edges, vals, side="right")
+    key += (nb + 2) * np.arange(units)[:, None]
+    key = key.ravel()
+    first = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
+    unit, slot = np.divmod(key[first], nb + 2)
+    mass = np.diff(first, append=size) * weights[unit]
+    per_bin = csr_array((mass, ((slot - 1) % (nb + 1), unit)),
+                        shape=(nb + 1, units))
+    unit_mass = np.bincount(unit, mass, units)
+    del vals, key  # the bootstrap needs no per-value array
+
+    def tv_of(copies):
+        # TV of each replicate r, which draws unit u copies[r, u] times; the
+        # rows are made C-ordered so that each sums as a 1-D array would
+        hist = np.ascontiguousarray((per_bin @ copies.T).T)
+        p = hist / (copies * unit_mass).sum(axis=1)[:, None]
+        return 0.5 * (np.abs(p[:, :nb] - ref_mass).sum(axis=1)
+                      + p[:, nb] + ref_out)
+
+    tv = tv_of(np.ones((1, units)))[0]
+    # replicates share one sparse product in blocks of at most 2^16 counts
     rng = np.random.default_rng(seed)
-
-    def tv_of(hist, total):
-        # hist: nb bin masses, then the mass outside the binned range
-        return 0.5 * (np.abs(hist[:nb] / total - ref_mass).sum()
-                      + hist[nb] / total + ref_out)
-
-    draws = np.empty(TV_BOOTSTRAP)
-    if weights is None and blocks.shape[1] == 1:
-        # iid scalar draws: bootstrap = multinomial resample of the histogram
-        counts, _ = np.histogram(blocks[:, 0], bins=edges)
-        size = flat.size
-        hist = np.append(counts, size - counts.sum())
-        tv = tv_of(hist, size)
-        for b in range(TV_BOOTSTRAP):
-            draws[b] = tv_of(rng.multinomial(size, hist / size), size)
-    elif weights is None:
-        # pooled Gibbs output: one histogram per chain, bootstrap over chains
-        units = blocks.shape[0]
-        per_unit = np.empty((units, nb + 1))
-        for r in range(units):
-            per_unit[r, :nb], _ = np.histogram(blocks[r], bins=edges)
-            per_unit[r, nb] = blocks[r].size - per_unit[r, :nb].sum()
-        tv = tv_of(per_unit.sum(axis=0), flat.size)
-        for b in range(TV_BOOTSTRAP):
-            pick = rng.integers(0, units, units)
-            cnt = per_unit[pick].sum(axis=0)
-            draws[b] = tv_of(cnt, cnt.sum())
-    else:
-        # weighted iid rows: bootstrap over rows, overflow bucket nb
-        vals = blocks[:, 0]
-        size = vals.size
-        idx = np.searchsorted(edges, vals, side="right") - 1
-        bin_of = np.where((idx >= 0) & (idx < nb), idx, nb)
-        tv = tv_of(np.bincount(bin_of, weights, nb + 1), weights.sum())
-        for b in range(TV_BOOTSTRAP):
-            pick = rng.integers(0, size, size)
-            w = weights[pick]
-            draws[b] = tv_of(np.bincount(bin_of[pick], w, nb + 1), w.sum())
-
+    block = max(1, 2 ** 16 // units)
+    draws = []
+    for start in range(0, TV_BOOTSTRAP, block):
+        copies = [np.bincount(rng.integers(0, units, units), minlength=units)
+                  for _ in range(min(block, TV_BOOTSTRAP - start))]
+        draws.extend(tv_of(np.array(copies, dtype=float)))
     lo_ci, hi_ci = np.percentile(draws, [2.5, 97.5])
     return TVEstimate(tv=float(tv), ci_low=float(min(lo_ci, tv)),
                       ci_high=float(min(max(hi_ci, tv), 1.0)), bins=nb,
-                      sample_size=int(flat.size))
+                      sample_size=size)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Conditional samplers and localization checks: exact low-n laws, invariants,
 schedule algebra, weighted consistency between the two conditioning modes."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -34,7 +35,7 @@ from exdev import (
     tilt_to_mean,
     weibull,
 )
-from exdev import tables
+from exdev import conditional, tables
 
 from helpers import ks_statistic, simpson_integral
 
@@ -94,8 +95,10 @@ def test_point_sampler_preserves_sum(weibull2):
 def test_point_sampler_exchangeable_coordinates(weibull2):
     cond = ConditionDescriptor("point", 4, 2.0)
     sample = sample_point_conditional(weibull2, cond, chains=512, steps=64,
-                                      burn_in=800, seed=2, keep_coords=2)
-    x1, x2 = sample.coords[:, 0], sample.coords[:, 1]
+                                      burn_in=800, seed=2, pool_all=True)
+    # pooled rows hold each chain's retained states back to back, n apiece
+    states = sample.pooled.reshape(-1, cond.n)
+    x1, x2 = states[:, 0], states[:, 1]
     stat = ks_2samp(x1, x2)
     assert stat.pvalue > 0.001
 
@@ -153,11 +156,11 @@ def test_exceedance_sampler_invariants(weibull25):
     assert sample.ess > 1000.0
 
 
-def test_exceedance_sampler_budget_cap(weibull2):
+def test_exceedance_sampler_budget_cap(weibull2, monkeypatch):
     cond = ConditionDescriptor("exceedance", 8, 2.0)
+    monkeypatch.setattr(conditional, "MAX_PROPOSALS", 50_000)
     with pytest.raises(LowAcceptance):
-        sample_exceedance_conditional(weibull2, cond, 10**7, seed=0,
-                                      max_proposals=50_000)
+        sample_exceedance_conditional(weibull2, cond, 10**7, seed=0)
 
 
 def _exceedance_rows(sample):
@@ -305,6 +308,74 @@ def test_tv_pooled_point_path(weibull25):
     # the Gaussian-corrected reference fits the finite-n marginal better
     assert est_so.tv < est_tilt.tv
     assert est_so.tv < 0.1
+
+
+def _gibbs_sample(values, chains):
+    """A point-sampler-shaped sample: coords time-major, `chains` per state."""
+    coords = np.asarray(values, dtype=float).reshape(-1, 1)
+    return ConditionalSample(descriptor=None, coords=coords,
+                             sums=coords[:, 0].copy(),
+                             meta={"chains": chains})
+
+
+def test_tv_resamples_chains_not_rows(weibull25):
+    # 50 chains that each sit at one value for 40 retained states: the chains
+    # are the independent units, so resampling them must give a far wider
+    # interval than resampling the 2000 rows, for the same point estimate
+    td = tilt_to_mean(weibull25, 3.0)
+    levels = sampler_tilted(td).sample(50, np.random.default_rng(31))
+    values = np.tile(levels, 40)  # time-major: state k holds every chain
+    chains = marginal_tv(_gibbs_sample(values, 50), td.pdf)
+    rows = marginal_tv(ConditionalSample.from_values(values), td.pdf)
+    assert chains.tv == rows.tv
+    assert (chains.ci_high - chains.ci_low
+            > 3.0 * (rows.ci_high - rows.ci_low))
+
+
+def _direct_tv(values, weights, bins, pdf):
+    """The binned TV of marginal_tv computed directly: np.histogram for
+    counts, np.bincount for weights."""
+    lo_q, hi_q = np.percentile(values, [0.01, 99.99])
+    pad = 0.05 * (hi_q - lo_q) + 1e-12
+    edges = np.linspace(max(0.0, lo_q - pad), hi_q + pad, bins + 1)
+    ref = conditional._reference_bin_masses(pdf, edges)
+    if weights is None:
+        hist, _ = np.histogram(values, bins=edges)
+        hist = np.append(hist, values.size - hist.sum())
+        total = values.size
+    else:
+        idx = np.searchsorted(edges, values, side="right") - 1
+        idx = np.where((idx >= 0) & (idx < bins), idx, bins)
+        hist = np.bincount(idx, weights, bins + 1)
+        total = weights.sum()
+    return 0.5 * (np.abs(hist[:bins] / total - ref).sum() + hist[bins] / total
+                  + max(0.0, 1.0 - ref.sum()))
+
+
+def test_tv_point_estimate_is_direct_histogram(weibull25):
+    # the bootstrap groups values by unit; the point estimate must still be
+    # the plain histogram of all values, bit for bit, for every sample kind
+    td = tilt_to_mean(weibull25, 2.5)
+    rng = np.random.default_rng(32)
+    draws = sampler_tilted(td).sample(3000, rng)
+    weights = rng.random(3000)
+    pooled = sample_point_conditional(
+        weibull25, ConditionDescriptor("point", 8, 2.5), chains=64,
+        steps=160, burn_in=400, seed=33, pool_all=True)
+    gibbs = dataclasses.replace(pooled, pooled=None)  # time-major coords
+    exceed = sample_exceedance_conditional(
+        weibull25, ConditionDescriptor("exceedance", 8, 2.5), 3000, seed=34)
+    cases = [
+        (ConditionalSample.from_values(draws), draws, None),
+        (ConditionalSample.from_values(draws, weights=weights), draws, weights),
+        (exceed, exceed.coords[:, 0], exceed.weights),
+        (gibbs, gibbs.coords[:, 0], None),
+        (pooled, pooled.pooled.ravel(), None),
+    ]
+    for sample, values, w in cases:
+        est = marginal_tv(sample, td.pdf)
+        assert est.sample_size == values.size
+        assert est.tv == _direct_tv(values, w, est.bins, td.pdf)
 
 
 # --- second-order reference ----------------------------------------------------------
