@@ -13,7 +13,12 @@ decreasing, so a flat-then-tangent envelope bounds it at every level.  The
 sampler therefore takes densities with no perturbation q whose terms of g
 are all convex on (0, inf), and raises DomainError for any other.  All
 chains advance in lockstep (one shared pair schedule, independent heat-bath
-draws); only the chains whose proposal was rejected draw again.
+draws); only the chains whose proposal was rejected draw again.  The state is
+held coordinate-major, (n, chains), so a pair's two coordinates are
+contiguous rows; a retained state is copied out chain-major, (chains, n).
+The step runs a few dozen numpy calls on arrays of one value per chain, so
+it is written for per-call overhead: one errstate per draw, g summed over
+the terms at stacked points, and a first rejection round without gathers.
 
 Exceedance constraint: iid rows from the a-tilted product law, accepted
 when the row sum clears n a, reweighted by exp(-t (sum - n a)) to undo the
@@ -38,7 +43,8 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.special import ndtr
 
-from .densities import ExpTerm, LightTailDensity, LogTerm, PowerTerm
+from .densities import (ExpTerm, LightTailDensity, LogTerm, PowerTerm,
+                        _add_terms)
 from .errors import (DomainError, InfeasibleStart, LowAcceptance,
                      MassTooSmall, ScheduleInfeasible, TooFewSamples)
 from .quadrature import exponent_peak, log_integral
@@ -151,32 +157,64 @@ def _heat_bath_draw(d: LightTailDensity, c: np.ndarray,
     convex g.  The envelope is flat at l(0) up to z, then the tangent at w1 =
     min(1/sqrt(g''(c/2)), c/4); both lie above l.  A flat tangent (g'' = 0 on
     the pair's range) leaves the flat piece alone on [0, c/2).
-    """
-    ell = lambda h, w: -(d.g(h + w) + d.g(h - w))
-    half = 0.5 * c
-    top = -2.0 * d.g(half)
-    with np.errstate(divide="ignore"):
-        w1 = np.minimum(1.0 / np.sqrt(d.g_second(half)), 0.5 * half)
-    slope = d.g_prime(half - w1) - d.g_prime(half + w1)
-    flat = slope >= 0.0
-    slope = np.where(flat, -1.0, slope)
-    drop = ell(half, w1) - top
-    z = np.where(flat, half, np.clip(w1 - drop / slope, 0.0, half))
-    tail = np.expm1(slope * (half - z)) / slope  # envelope mass past z
 
-    u = np.empty_like(c)
-    pending = np.arange(c.size)
-    while pending.size:
-        hf, zp, sp = half[pending], z[pending], slope[pending]
-        pos, acc, sign = rng.random((3, pending.size))
-        mass = pos * (zp + tail[pending])
-        over = mass > zp
-        w = np.where(over, zp + np.log1p(sp * (mass - zp)) / sp, mass)
-        env = top[pending] + np.where(over, sp * (w - zp), 0.0)
-        ok = acc < np.exp(ell(hf, w) - env)
-        u[pending[ok]] = hf[ok] + np.where(sign[ok] < 0.5, w[ok], -w[ok])
-        pending = pending[~ok]
+    Every evaluation of g and g' takes one call on stacked points (both
+    arms of l at once), and the first round runs on every chain without
+    gathers.
+    """
+    terms = d.terms
+    with np.errstate(divide="ignore"):
+        # per chain: half, z, slope, top = l(0), span = z + envelope mass
+        # past z; one gather picks a round's rows
+        par = np.empty((5, c.size))
+        half, z, slope, top, span = par
+        np.multiply(c, 0.5, out=half)
+        w1 = np.minimum(1.0 / np.sqrt(_add_terms(terms, "d2", half)),
+                        0.5 * half)
+        pts = np.empty((3, c.size))
+        np.subtract(half, w1, out=pts[0])
+        np.add(half, w1, out=pts[1])
+        gp = _add_terms(terms, "d1", pts[:2])
+        np.subtract(gp[0], gp[1], out=slope)
+        flat = slope >= 0.0
+        slope[flat] = -1.0
+        pts[2] = half
+        gv = _add_terms(terms, "value", pts)
+        np.multiply(gv[2], -2.0, out=top)
+        drop = -(gv[1] + gv[0]) - top
+        np.clip(w1 - drop / slope, 0.0, half, out=z)
+        z[flat] = half[flat]
+        np.add(z, np.expm1(slope * (half - z)) / slope, out=span)
+
+        u, ok = _heat_bath_round(terms, rng, par)
+        pending = (~ok).nonzero()[0]
+        while pending.size:
+            cand, ok = _heat_bath_round(terms, rng, par[:, pending])
+            u[pending[ok]] = cand[ok]
+            pending = pending[~ok]
     return u
+
+
+def _heat_bath_round(terms, rng, par):
+    """One rejection round of `_heat_bath_draw` on the chains whose rows
+    `par` holds: (the proposals, which of them were accepted).  The caller
+    holds np.errstate(divide="ignore")."""
+    hf, zp, sp, top, span = par
+    pos, acc, sign = rng.random((3, hf.size))
+    mass = pos * span
+    over = mass > zp
+    w = np.where(over, zp + np.log1p(sp * (mass - zp)) / sp, mass)
+    rise = sp * (w - zp)
+    rise[~over] = 0.0
+    env = top + rise
+    arms = np.empty((2, hf.size))
+    np.add(hf, w, out=arms[0])
+    np.subtract(hf, w, out=arms[1])
+    gv = _add_terms(terms, "value", arms)
+    ok = acc < np.exp(-(gv[0] + gv[1]) - env)
+    # hf + w where sign < 0.5, else hf - w: w >= 0 and sign - 0.5 is exact,
+    # so the copysign is -w below 0.5 and w from 0.5 on
+    return hf - np.copysign(w, sign - 0.5), ok
 
 
 def sample_point_conditional(d: LightTailDensity, cond: ConditionDescriptor,
@@ -211,7 +249,7 @@ def sample_point_conditional(d: LightTailDensity, cond: ConditionDescriptor,
         raise DomainError("need at least one chain and one retained state")
 
     rng = np.random.default_rng(seed)
-    x = np.full((chains, n), float(a))
+    x = np.full((n, chains), float(a))  # coordinate-major: rows are contiguous
     level = n * a
 
     coords = []
@@ -220,16 +258,19 @@ def sample_point_conditional(d: LightTailDensity, cond: ConditionDescriptor,
     for step in range(burn_in + steps):
         i = int(rng.integers(n))
         j = (i + 1 + int(rng.integers(n - 1))) % n
-        c = x[:, i] + x[:, j]
+        c = x[i] + x[j]
         u = _heat_bath_draw(d, c, rng)
-        x[:, i] = u
-        x[:, j] = c - u
+        x[i] = u
+        np.subtract(c, u, out=x[j])
         k = step - burn_in + 1
         if k > 0 and k % stride == 0:
-            coords.append(x[:, :1].copy())
-            sums.append(x.sum(axis=1))
+            # sums over a C-ordered copy: numpy reduces a strided view in
+            # another order, which moves the last bits of sums and residual
+            state = np.ascontiguousarray(x.T)
+            coords.append(state[:, :1].copy())
+            sums.append(state.sum(axis=1))
             if pooled is not None:
-                pooled.append(x.copy())
+                pooled.append(state)
 
     coords_arr = np.concatenate(coords, axis=0)
     sums_arr = np.concatenate(sums)
@@ -359,6 +400,9 @@ def _reference_bin_masses(pdf: Callable, edges: np.ndarray) -> np.ndarray:
 
 
 TV_BOOTSTRAP = 200
+# fewest resampling units whose bootstrap interval means anything: two
+# chains give a replicate only three distinct outcomes
+MIN_TV_UNITS = 20
 
 
 def marginal_tv(sample: ConditionalSample, reference,
@@ -373,6 +417,7 @@ def marginal_tv(sample: ConditionalSample, reference,
     bootstrap with TV_BOOTSTRAP replicates, clamped to bracket the point
     estimate; each replicate redraws the sample's units (tv_blocks: chains
     for Gibbs output, rows otherwise) with replacement and sums their masses.
+    Raises TooFewSamples below 1000 values or MIN_TV_UNITS units.
     """
     ref_pdf = reference.pdf if hasattr(reference, "pdf") else reference
     blocks, weights = sample.tv_blocks()
@@ -380,6 +425,10 @@ def marginal_tv(sample: ConditionalSample, reference,
     units, size = vals.shape[0], vals.size
     if size < 1000:
         raise TooFewSamples(f"{size} draws < 1000")
+    if units < MIN_TV_UNITS:
+        raise TooFewSamples(
+            f"{units} resampling units < {MIN_TV_UNITS}: too few for a "
+            "bootstrap interval")
     lo_q, hi_q, q75, q25 = np.percentile(vals, [0.01, 99.99, 75.0, 25.0])
     pad = 0.05 * (hi_q - lo_q) + 1e-12
     lo, hi = max(0.0, lo_q - pad), hi_q + pad

@@ -121,27 +121,16 @@ class LogTerm(GTerm):
 
     coef: float
 
-    def value(self, x):
-        with np.errstate(divide="ignore"):
-            return self.coef * np.log(x)
-
-    def d1(self, x):
-        with np.errstate(divide="ignore"):
-            return self.coef / x
-
-    def d2(self, x):
-        with np.errstate(divide="ignore"):
-            return -self.coef / x ** 2
-
-    def d3(self, x):
-        with np.errstate(divide="ignore"):
-            return 2.0 * self.coef / x ** 3
+    def value(self, x): return self.coef * np.log(x)
+    def d1(self, x): return self.coef / x
+    def d2(self, x): return -self.coef / x ** 2
+    def d3(self, x): return 2.0 * self.coef / x ** 3
 
     def scalar(self, pick):
         c = self.coef
-        # log 0 and c / 0 take the array method, whose errstate keeps
-        # numpy's -inf and +-inf without a warning
-        at_zero = lambda x: float(getattr(self, pick)(np.asarray(x, dtype=float)))
+        # log 0 and c / 0 take the array path, whose errstate keeps numpy's
+        # -inf and +-inf without a warning
+        at_zero = lambda x: float(_sum_terms((self,), pick, x))
         if pick == "value":
             return lambda x: c * float(np.log(x)) if x != 0.0 else at_zero(x)
         return lambda x: c / x if x != 0.0 else at_zero(x)
@@ -170,13 +159,21 @@ class ExpTerm(GTerm):
         return lambda x: c * float(np.exp(r * x))
 
 
-def _sum_terms(terms: Sequence[GTerm], pick: str, x):
-    """Sum of term.<pick>(x) over the catalog, in catalog order."""
-    x = np.asarray(x, dtype=float)
+def _add_terms(terms: Sequence[GTerm], pick: str, x: np.ndarray):
+    """Sum of term.<pick>(x) over the catalog, in catalog order, for a float
+    array x.  The caller holds np.errstate(divide="ignore"): log 0 and
+    negative powers of 0 are -inf and +inf, not warnings."""
     out = getattr(terms[0], pick)(x)
     for t in terms[1:]:
         out = out + getattr(t, pick)(x)
     return out
+
+
+def _sum_terms(terms: Sequence[GTerm], pick: str, x):
+    """Sum of term.<pick>(x) over the catalog for any array-like x."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore"):
+        return _add_terms(terms, pick, x)
 
 
 def _scalar_sum(terms: Sequence[GTerm], pick: str) -> Callable[[float], float]:

@@ -24,7 +24,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .densities import LightTailDensity
 from .errors import AsymptoticRangeWarning, DegenerateWeights, DomainError
@@ -120,14 +119,36 @@ def _is_batch(table: CdfTable, rng: np.random.Generator, rows: int, n: int,
     return logw, logw.size
 
 
+def _logsumexp(x: np.ndarray, scratch: np.ndarray) -> float:
+    """log(sum(exp(x))) for a 1-D x, in scipy.special.logsumexp's arithmetic
+    and bit for bit equal to it, with scratch (x's shape) as the only array
+    of x's size it writes: the maxima are set apart (count m), the rest
+    summed as s = sum(exp(x - max)), and the result is
+    log1p(s / m) + log(m) + max; a non-finite result falls back to
+    log(sum(exp(x))), as scipy's does."""
+    top = x.max()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.subtract(x, top, out=scratch)
+        at_top = scratch == 0.0
+        m = np.float64(np.count_nonzero(at_top))
+        scratch[at_top] = -np.inf
+        s = np.exp(scratch, out=scratch).sum()
+        if s != 0.0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + top
+        if not np.isfinite(out):
+            out = np.log(np.exp(x, out=scratch).sum())
+    return float(out)
+
+
 def tail_prob_is_oracle(d: LightTailDensity, n: int, a: float,
                         samples: int = 10 ** 6, seed: int = 0,
                         threads: int = 1) -> ISOracleResult:
     """Importance-sampling estimate of P(S_n >= n a) under the a-tilted law.
 
     Each row is an iid n-vector from pi_a; the self-normalized weight of a
-    hit is exp(n log phi(t) - t S).  All accumulation happens through
-    logsumexp, so the estimate and its relative standard error survive
+    hit is exp(n log phi(t) - t S).  All accumulation happens through a
+    log-sum-exp, so the estimate and its relative standard error survive
     probabilities far below the double floor.  Deterministic for a fixed
     seed regardless of thread count: every batch of BATCH_ROWS rows owns a
     SeedSequence child keyed by its index.
@@ -165,8 +186,11 @@ def tail_prob_is_oracle(d: LightTailDensity, n: int, a: float,
     if hits == 0:
         raise DegenerateWeights("no exceedances: tilt missed the event")
     allw = np.concatenate(log_ws)
-    lse1 = logsumexp(allw)            # log sum w
-    lse2 = logsumexp(2.0 * allw)      # log sum w^2
+    del parts, log_ws
+    scratch = np.empty_like(allw)
+    lse1 = _logsumexp(allw, scratch)  # log sum w
+    allw *= 2.0
+    lse2 = _logsumexp(allw, scratch)  # log sum w^2
     log_p = lse1 - math.log(samples)
     ess = math.exp(2.0 * lse1 - lse2)
     if ess < 100.0:

@@ -15,6 +15,7 @@ from exdev import (
     ConditionalSample,
     DLPWindow,
     DomainError,
+    ExpTerm,
     LowAcceptance,
     MassTooSmall,
     PowerTerm,
@@ -23,6 +24,7 @@ from exdev import (
     TVEstimate,
     density_from_terms,
     dlp_check,
+    double_exp,
     epsilon_schedule,
     exceedance_vs_point_equivalence,
     gibbs_local_check,
@@ -139,6 +141,116 @@ def test_point_sampler_refuses_non_log_concave_pair_law(make):
     cond = ConditionDescriptor("point", 4, 2.0)
     with pytest.raises(DomainError):
         sample_point_conditional(make(), cond, chains=8, steps=4, burn_in=8)
+
+
+# --- pair step bit identity ------------------------------------------------------
+
+def _reference_heat_bath_draw(d, c, rng):
+    """The pair step as first written, one numpy call per operation: the
+    reference that `conditional._heat_bath_draw` must match bit for bit,
+    random stream included."""
+    ell = lambda h, w: -(d.g(h + w) + d.g(h - w))
+    half = 0.5 * c
+    top = -2.0 * d.g(half)
+    with np.errstate(divide="ignore"):
+        w1 = np.minimum(1.0 / np.sqrt(d.g_second(half)), 0.5 * half)
+    slope = d.g_prime(half - w1) - d.g_prime(half + w1)
+    flat = slope >= 0.0
+    slope = np.where(flat, -1.0, slope)
+    drop = ell(half, w1) - top
+    z = np.where(flat, half, np.clip(w1 - drop / slope, 0.0, half))
+    tail = np.expm1(slope * (half - z)) / slope
+
+    u = np.empty_like(c)
+    pending = np.arange(c.size)
+    while pending.size:
+        hf, zp, sp = half[pending], z[pending], slope[pending]
+        pos, acc, sign = rng.random((3, pending.size))
+        mass = pos * (zp + tail[pending])
+        over = mass > zp
+        w = np.where(over, zp + np.log1p(sp * (mass - zp)) / sp, mass)
+        env = top[pending] + np.where(over, sp * (w - zp), 0.0)
+        ok = acc < np.exp(ell(hf, w) - env)
+        u[pending[ok]] = hf[ok] + np.where(sign[ok] < 0.5, w[ok], -w[ok])
+        pending = pending[~ok]
+    return u
+
+
+def _reference_point_sample(d, n, a, chains, steps, burn_in, seed):
+    """The point sampler's loop as first written, on a (chains, n) state:
+    (coords, sums, pooled, residual)."""
+    rng = np.random.default_rng(seed)
+    x = np.full((chains, n), float(a))
+    coords, sums, pooled = [], [], []
+    for step in range(burn_in + steps):
+        i = int(rng.integers(n))
+        j = (i + 1 + int(rng.integers(n - 1))) % n
+        c = x[:, i] + x[:, j]
+        u = _reference_heat_bath_draw(d, c, rng)
+        x[:, i] = u
+        x[:, j] = c - u
+        k = step - burn_in + 1
+        if k > 0 and k % n == 0:
+            coords.append(x[:, :1].copy())
+            sums.append(x.sum(axis=1))
+            pooled.append(x.copy())
+    sums = np.concatenate(sums)
+    residual = float(np.max(np.abs(sums - n * a)) / (n * a))
+    pooled = np.stack(pooled).transpose(1, 0, 2).reshape(chains, -1)
+    return np.concatenate(coords), sums, pooled, residual
+
+
+# every term kind: Weibull's power and log terms, the cgtv golden run's exp
+# term, the exp-only double exponential, and g = x, whose g'' = 0 makes every
+# tangent flat
+PAIR_DENSITIES = {
+    "weibull1.5": (lambda: weibull(1.5), (0.3, 2.0, 100.0)),
+    "weibull2.5": (lambda: weibull(2.5), (0.3, 2.0, 100.0)),
+    "weibull3": (lambda: weibull(3.0), (0.3, 2.0, 100.0)),
+    "weibull4": (lambda: weibull(4.0), (0.3, 2.0, 100.0)),
+    "double_exp": (double_exp, (0.3, 2.0, 10.0)),
+    "cgtv": (lambda: density_from_terms(
+        (PowerTerm(1.0, 2.5), ExpTerm(0.1, 0.5)),
+        class_tag=ClassTag("infinity")), (0.3, 2.0, 10.0)),
+    "flat": (lambda: density_from_terms(
+        (PowerTerm(1.0, 1.0),), class_tag=ClassTag("beta", beta=0.0)),
+        (0.3, 2.0, 30.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(PAIR_DENSITIES))
+def test_pair_step_bit_identical_to_reference(name):
+    make, levels = PAIR_DENSITIES[name]
+    d = make()
+    for a in levels:
+        for chains in (1, 2, 48, 1000):
+            rng_ref = np.random.default_rng(5)
+            rng = np.random.default_rng(5)
+            sums = [np.full(chains, 2.0 * a)]  # the sampler's start
+            sums += [2.0 * a * rng_ref.uniform(0.05, 1.95, chains)
+                     for _ in range(3)]
+            rng.uniform(size=3 * chains)  # keep both streams in step
+            for c in sums:
+                want = _reference_heat_bath_draw(d, c, rng_ref)
+                got = conditional._heat_bath_draw(d, c, rng)
+                assert np.array_equal(got, want), (a, chains)
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("name", ["weibull2.5", "weibull3", "double_exp",
+                                  "cgtv"])
+def test_point_sampler_bit_identical_to_reference(name):
+    d = PAIR_DENSITIES[name][0]()
+    n, a, chains, steps, burn_in = 8, 2.0, 48, 64, 80
+    sample = sample_point_conditional(
+        d, ConditionDescriptor("point", n, a), chains=chains, steps=steps,
+        burn_in=burn_in, seed=3, pool_all=True)
+    coords, sums, pooled, residual = _reference_point_sample(
+        d, n, a, chains, steps, burn_in, seed=3)
+    assert np.array_equal(sample.coords, coords)
+    assert np.array_equal(sample.sums, sums)
+    assert np.array_equal(sample.pooled, pooled)
+    assert sample.residual == residual
 
 
 # --- exceedance sampler ------------------------------------------------------------
@@ -286,6 +398,17 @@ def test_tv_requires_enough_samples(weibull2):
     sample = ConditionalSample.from_values(np.linspace(1.0, 3.0, 500))
     with pytest.raises(TooFewSamples):
         marginal_tv(sample, td.pdf)
+
+
+def test_tv_requires_enough_units():
+    # 1200 values in 2 chains: a bootstrap over two units has three outcomes
+    cond = ConditionDescriptor("point", 8, 2.0)
+    d = weibull(2.5)
+    sample = sample_point_conditional(d, cond, chains=2, steps=4800,
+                                      burn_in=400, seed=1)
+    assert sample.coords.size == 1200
+    with pytest.raises(TooFewSamples, match="2 resampling units"):
+        marginal_tv(sample, tilt_to_mean(d, 2.0).pdf)
 
 
 def test_tv_weighted_exceedance_path(weibull25):

@@ -2,6 +2,7 @@
 class diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,32 @@ def test_scalar_path_is_bit_identical(make):
             got = np.array([scalar(x) for x in xs])
             want = np.array([float(array(x)) for x in xs])
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+ALL_PICKS = "g g_prime g_second g_third log_pdf"
+
+
+@pytest.mark.parametrize("make, picks", [
+    (lambda: weibull(1.5), ALL_PICKS),
+    # for 2 < k < 3, g_third(0) is +inf - inf: NaN, and numpy says so
+    (lambda: weibull(2.5), "g g_prime g_second log_pdf"),
+    (lambda: weibull(3.0), ALL_PICKS),
+    (lambda: weibull(4.0), ALL_PICKS),
+    # the golden runs' custom lists: cust, and cgtv with no log term
+    (lambda: density_from_terms(
+        (PowerTerm(1.0, 1.5), LogTerm(-0.5), ExpTerm(0.2, 0.5)),
+        class_tag=ClassTag("infinity")), ALL_PICKS),
+    (lambda: density_from_terms((PowerTerm(1.0, 2.5), ExpTerm(0.1, 0.5)),
+                                class_tag=ClassTag("infinity")), ALL_PICKS),
+], ids=["weibull1.5", "weibull2.5", "weibull3", "weibull4", "cust", "cgtv"])
+def test_array_path_is_silent_at_zero(make, picks):
+    # log 0, c / 0 and negative powers of 0 are infinities, not warnings
+    d = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (0.0, np.array([0.0, 1.0])):
+            for pick in picks.split():
+                getattr(d, pick)(x)
 
 
 def test_psi_inverts_h(weibull25):

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from scipy.special import logsumexp
+
 from exdev import (
     AsymptoticRangeWarning,
     DomainError,
@@ -17,6 +19,7 @@ from exdev import (
     tail_prob_is_oracle,
     tilt_to_mean,
 )
+from exdev import tails
 from exdev.tilting import density_mean
 
 from helpers import golden_max, ks_statistic, simpson_integral
@@ -149,6 +152,42 @@ def test_is_oracle_rejects_empty_rows(weibull2):
     # as tail_prob does; a row of no draws has no block size
     with pytest.raises(DomainError):
         tail_prob_is_oracle(weibull2, 0, 2.5, samples=2000)
+
+
+def _lse_cases():
+    rng = np.random.default_rng(17)
+    for i in range(200):
+        size = int(rng.integers(1, 5000))
+        x = rng.normal(rng.uniform(-800.0, 10.0), rng.uniform(0.01, 50.0),
+                       size)
+        if i % 3 == 0:  # ties at the maximum
+            x[rng.integers(0, size, int(rng.integers(1, 20)))] = x.max()
+        if i % 7 == 0:  # many ties everywhere
+            x = np.round(x, 1)
+        yield x
+    yield from (np.array(v) for v in (
+        [-np.inf, -np.inf], [-np.inf, 3.0], [np.inf, 1.0], [1e308, 1e308],
+        [np.nan, 1.0], [2.5]))
+
+
+def test_logsumexp_matches_scipy_bit_for_bit():
+    for x in _lse_cases():
+        with np.errstate(over="ignore"):
+            doubled = 2.0 * x
+        for v in (x, doubled):
+            want = float(logsumexp(v))
+            got = tails._logsumexp(v.copy(), np.empty_like(v))
+            assert np.array([got]).view(np.uint64) == \
+                np.array([want]).view(np.uint64), v
+
+
+def test_is_oracle_log_sums_equal_scipy_logsumexp(weibull2, monkeypatch):
+    # two batches, so the weights are concatenated before the sums
+    r1 = tail_prob_is_oracle(weibull2, 10, 3.0, samples=300_000, seed=4)
+    monkeypatch.setattr(tails, "_logsumexp",
+                        lambda x, scratch: float(logsumexp(x)))
+    r2 = tail_prob_is_oracle(weibull2, 10, 3.0, samples=300_000, seed=4)
+    assert (r1.log_prob, r1.rel_se, r1.ess) == (r2.log_prob, r2.rel_se, r2.ess)
 
 
 # --- tilted inverse-cdf sampler -----------------------------------------------
