@@ -16,9 +16,9 @@ chains advance in lockstep (one shared pair schedule, independent heat-bath
 draws); only the chains whose proposal was rejected draw again.  The state is
 held coordinate-major, (n, chains), so a pair's two coordinates are
 contiguous rows; a retained state is copied out chain-major, (chains, n).
-The step runs a few dozen numpy calls on arrays of one value per chain, so
-it is written for per-call overhead: one errstate per draw, g summed over
-the terms at stacked points, and a first rejection round without gathers.
+A step is a few dozen numpy calls on arrays of one value per chain, so its
+cost is per-call overhead, and `_heat_bath_draw` is written to make few
+calls.
 
 Exceedance constraint: iid rows from the a-tilted product law, accepted
 when the row sum clears n a, reweighted by exp(-t (sum - n a)) to undo the
@@ -158,9 +158,9 @@ def _heat_bath_draw(d: LightTailDensity, c: np.ndarray,
     min(1/sqrt(g''(c/2)), c/4); both lie above l.  A flat tangent (g'' = 0 on
     the pair's range) leaves the flat piece alone on [0, c/2).
 
-    Every evaluation of g and g' takes one call on stacked points (both
-    arms of l at once), and the first round runs on every chain without
-    gathers.
+    One errstate covers the draw, every evaluation of g and g' is one call
+    on stacked points (both arms of l at once), and the first round runs
+    on every chain without gathers.
     """
     terms = d.terms
     with np.errstate(divide="ignore"):
