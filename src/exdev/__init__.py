@@ -32,9 +32,9 @@ from .levelsets import (AmbientLaw, FSpec, FTiltedLaw, Marginal1D,
                         square_concentration_check)
 from .errors import (AsymptoticRangeWarning, BracketFail, ConfigMissing,
                      DegenerateWeights, Divergent, DomainError, ExdevError,
-                     InfeasibleStart, LowAcceptance, MassLeak, MassTooSmall,
-                     NonMonotone, NotSolvable, NumericalError, OutOfRange,
-                     PushforwardUnsolvable, ScheduleInfeasible,
+                     InfeasibleStart, LowAcceptance, LowESSWarning, MassLeak,
+                     MassTooSmall, NonMonotone, NotSolvable, NumericalError,
+                     OutOfRange, PushforwardUnsolvable, ScheduleInfeasible,
                      TableBuildFail, TooFewSamples, ValidationError)
 
 __all__ = [
@@ -68,8 +68,8 @@ __all__ = [
     # errors
     "AsymptoticRangeWarning", "BracketFail", "ConfigMissing",
     "DegenerateWeights", "Divergent", "DomainError", "ExdevError",
-    "InfeasibleStart", "LowAcceptance", "MassLeak", "MassTooSmall",
-    "NonMonotone", "NotSolvable", "NumericalError", "OutOfRange",
-    "PushforwardUnsolvable", "ScheduleInfeasible", "TableBuildFail",
-    "TooFewSamples", "ValidationError",
+    "InfeasibleStart", "LowAcceptance", "LowESSWarning", "MassLeak",
+    "MassTooSmall", "NonMonotone", "NotSolvable", "NumericalError",
+    "OutOfRange", "PushforwardUnsolvable", "ScheduleInfeasible",
+    "TableBuildFail", "TooFewSamples", "ValidationError",
 ]

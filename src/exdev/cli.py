@@ -219,7 +219,7 @@ def _exp_gibbs_tv(opts: Dict[str, str]) -> None:
 
 def _exp_dlp(opts: Dict[str, str]) -> None:
     k = as_float(opts, "k")
-    d = density_from_options(opts)
+    d = density_from_options(opts, also_read=("k",))  # for the schedule
     alpha = as_float(opts, "alpha")
     n_list = as_int_list(opts, "n-list")
     count = as_int(opts, "count")

@@ -1,8 +1,7 @@
 """Exact conditional Monte Carlo for the point constraint (sum = n a) and the
-exceedance constraint (sum >= n a), plus the empirical checks built on them:
-marginal total variation against the tilted law, local density ratios,
-democratic localization, the tilted location law, and exceedance/point
-equivalence.
+exceedance constraint (sum >= n a), the checks built on them (marginal total
+variation, democratic localization, exceedance/point equivalence), and two
+exact laws computed without draws: the local Gibbs ratio and the location law.
 
 Point constraint: a pairwise-Gibbs chain on the simplex slice
 {x in R_+^n : sum x = n a}.  Each step picks a pair (i, j), holds c = x_i +
@@ -11,7 +10,8 @@ p(u) p(c - u) on (0, c) by one rejection step: the law is symmetric about
 c/2, and for convex g its reflection |u - c/2| is log-concave and
 decreasing, so a flat-then-tangent envelope bounds it at every level.  The
 sampler therefore takes densities with no perturbation q whose terms of g
-are all convex on (0, inf), and raises DomainError for any other.  All
+are all convex on (0, inf), at levels where l keeps its digits, and raises
+DomainError for any other.  All
 chains advance in lockstep (one shared pair schedule, independent heat-bath
 draws); only the chains whose proposal was rejected draw again.  The state is
 held coordinate-major, (n, chains), so a pair's two coordinates are
@@ -36,6 +36,7 @@ never the sample.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -45,11 +46,13 @@ from scipy.special import ndtr
 
 from .densities import (ExpTerm, LightTailDensity, LogTerm, PowerTerm,
                         _add_terms)
+from .edgeworth import convolve_oracle, z1_centered
 from .errors import (DomainError, InfeasibleStart, LowAcceptance,
-                     MassTooSmall, ScheduleInfeasible, TooFewSamples)
+                     LowESSWarning, MassTooSmall, ScheduleInfeasible,
+                     TooFewSamples)
 from .quadrature import exponent_peak, log_integral
 from .tilting import tilt_to_mean
-from .tails import sampler_tilted
+from .tails import ESS_FLOOR, sampler_tilted
 
 __all__ = [
     "ConditionDescriptor", "ConditionalSample", "TVEstimate", "DLPWindow",
@@ -239,6 +242,11 @@ def sample_point_conditional(d: LightTailDensity, cond: ConditionDescriptor,
     n, a = cond.n, cond.a_n
     if d.log_pdf(a) == -math.inf:
         raise InfeasibleStart("density vanishes at the starting level a_n")
+    # l(w) - l(0) is a difference of numbers near 2 g(a), so it needs doubles
+    # spaced finer than 1e-3 there (double-exp: up to a = 30)
+    if np.spacing(abs(2.0 * d.g_scalar(a))) > 1e-3:
+        raise DomainError(f"level a_n = {a:g} is past the pair step's "
+                          "precision: g(a_n) is too large")
     if stride is None:
         stride = n
     if steps is None:
@@ -480,60 +488,33 @@ def marginal_tv(sample: ConditionalSample, reference,
 @dataclass(frozen=True, eq=False)
 class GibbsLocalReport:
     y: np.ndarray
-    ratio: np.ndarray
-    band_low: np.ndarray
-    band_high: np.ndarray
-    kde: np.ndarray
-    reference: np.ndarray
-    bandwidth: float
-    sample_size: int
+    ratio: np.ndarray  # conditional density over pi_t
+    reference: np.ndarray  # pi_t
 
-
-# the KDE thins the pooled draws to at most this many points
-MAX_KDE_POINTS = 400_000
+    @property
+    def density(self) -> np.ndarray:
+        return self.ratio * self.reference
 
 
 def gibbs_local_check(d: LightTailDensity, cond: ConditionDescriptor,
-                      y_grid, sample: Optional[ConditionalSample] = None,
-                      chains: int = 256, steps: Optional[int] = None,
-                      burn_in: Optional[int] = None,
-                      seed: int = 0) -> GibbsLocalReport:
-    """KDE of the point-conditional first-coordinate marginal divided by the
-    tilted density on y_grid, with rough normal-approximation bands.
-
-    Bands use an effective sample size of one fifth of the pooled count to
-    absorb within-state correlation; they are diagnostics, not tests.
+                      y_grid) -> GibbsLocalReport:
+    """Exact ratio of the density of X_1 given S_n = n a to the tilted
+    density pi_t, on y_grid: r(z1_centered(n, a, y, s)) / C, with r the
+    standardized (n-1)-fold tilted density of convolve_oracle and C one
+    trapezoid of pi_t r over a +- 40 s, cut at 0 (tilting leaves the
+    conditional law unchanged).  Exact up to r's grid, which at n = 2
+    resolves a kink or jump of pi_t at 0 only to its width.
     """
+    if cond.kind != "point":
+        raise DomainError("the local ratio needs a point descriptor")
+    n, a = cond.n, cond.a_n
+    td = tilt_to_mean(d, a)
+    r = convolve_oracle(td, n - 1)
+    bulk = np.linspace(max(0.0, a - 40.0 * td.s), a + 40.0 * td.s, 20_001)
+    norm = np.trapezoid(td.pdf(bulk) * r(z1_centered(n, a, bulk, td.s)), bulk)
     y = np.atleast_1d(np.asarray(y_grid, dtype=float))
-    td = tilt_to_mean(d, cond.a_n)
-    if sample is None:
-        sample = sample_point_conditional(d, cond, chains=chains, steps=steps,
-                                          burn_in=burn_in, seed=seed,
-                                          pool_all=True)
-    blocks, _ = sample.tv_blocks()
-    vals = blocks.ravel()
-    if vals.size > MAX_KDE_POINTS:
-        stride = vals.size // MAX_KDE_POINTS + 1
-        vals = vals[::stride]
-    m = vals.size
-    sd = vals.std()
-    q75, q25 = np.percentile(vals, [75.0, 25.0])
-    spread = min(sd, (q75 - q25) / 1.34) if q75 > q25 else sd
-    bw = 0.9 * spread * m ** (-0.2)
-    if bw <= 0.0:
-        raise DomainError("degenerate sample: zero bandwidth")
-    z = (y[:, None] - vals[None, :]) / bw
-    kde = np.exp(-0.5 * z * z).sum(axis=1) / (m * bw * math.sqrt(2 * math.pi))
-    ref = td.pdf(y)
-    n_eff = m / 5.0
-    kde_se = np.sqrt(np.maximum(kde, 1e-300) / (2.0 * math.sqrt(math.pi)
-                                                * n_eff * bw))
-    ratio = kde / ref
-    return GibbsLocalReport(y=y, ratio=ratio,
-                            band_low=(kde - 1.96 * kde_se) / ref,
-                            band_high=(kde + 1.96 * kde_se) / ref,
-                            kde=kde, reference=ref, bandwidth=float(bw),
-                            sample_size=m)
+    return GibbsLocalReport(y=y, ratio=r(z1_centered(n, a, y, td.s)) / norm,
+                            reference=td.pdf(y))
 
 
 # ---------------------------------------------------------------------------
@@ -668,6 +649,15 @@ def _weighted_fraction(w: np.ndarray, ind: np.ndarray) -> tuple[float, float]:
     return est, float(np.sqrt(np.sum(wn ** 2 * (ind - est) ** 2)))
 
 
+def _warn_low_ess(sample: ConditionalSample, n: int) -> None:
+    """One ESS_LOW warning when the weight ESS falls below ESS_FLOOR."""
+    if sample.ess < ESS_FLOOR:
+        warnings.warn(
+            f"weight ESS {sample.ess:.1f} of {sample.sums.size} rows at n={n} "
+            f"is below {ESS_FLOOR:g}: the estimate rests on few effective "
+            "draws", LowESSWarning, stacklevel=3)
+
+
 def dlp_check(d: LightTailDensity, cond: ConditionDescriptor,
               window: DLPWindow, count: int = 20000, seed: int = 0,
               delta: float = 0.1,
@@ -682,7 +672,8 @@ def dlp_check(d: LightTailDensity, cond: ConditionDescriptor,
     an all-inside (or all-outside) sample says nothing about precision.
 
     Precondition proxy: log g(a_n) / log n must exceed delta, which keeps the
-    level genuinely extreme relative to n.
+    level genuinely extreme relative to n.  A weight ESS below ESS_FLOOR
+    emits one LowESSWarning; the estimate is returned all the same.
     """
     g_an = d.g_scalar(cond.a_n)
     if g_an <= 0.0 or math.log(g_an) / math.log(cond.n) <= delta:
@@ -692,6 +683,7 @@ def dlp_check(d: LightTailDensity, cond: ConditionDescriptor,
         sample = sample_exceedance_conditional(d, cond, count, seed=seed)
     if sample.mins is None or sample.maxs is None:
         raise DomainError("need an exceedance sample with min/max tracking")
+    _warn_low_ess(sample, cond.n)
     lo, hi = window.window
     ind = ((sample.mins > lo) & (sample.maxs < hi)).astype(float)
     est, se = _weighted_fraction(sample.weights, ind)
@@ -710,37 +702,23 @@ class LocationLawReport:
     t: np.ndarray
     s: np.ndarray
     ks: np.ndarray
-    draws: int
-
-    @property
-    def ks_decreasing(self) -> bool:
-        return bool(np.all(np.diff(self.ks) < 0.0))
-
-    @property
-    def s_decreasing(self) -> bool:
-        return bool(np.all(np.diff(self.s) < 0.0))
 
 
-def location_law_check(d: LightTailDensity, a_grid,
-                       draws: int = 200_000, seed: int = 0) -> LocationLawReport:
-    """KS distance between the standardized tilted law (X - a)/s and the
-    standard normal, for each level in a_grid."""
+def location_law_check(d: LightTailDensity, a_grid) -> LocationLawReport:
+    """Kolmogorov distance between the standardized tilted law (X - a)/s and
+    the standard normal, for each level in a_grid.
+
+    The tilted law is the one its draws come from, the table of
+    sampler_tilted: max |F - Phi((x - a)/s)| over the table's knots (x, F),
+    through which its spline inverse passes.  No draws, so no noise floor.
+    """
     a_grid = np.atleast_1d(np.asarray(a_grid, dtype=float))
-    rng = np.random.default_rng(seed)
-    ts, ss, kss = [], [], []
-    for a in a_grid:
-        td = tilt_to_mean(d, float(a))
-        table = sampler_tilted(td)
-        x = np.sort(table.sample(draws, rng))
-        z = (x - a) / td.s
-        ecdf_hi = np.arange(1, draws + 1) / draws
-        cdf = ndtr(z)
-        ks = float(max(np.max(ecdf_hi - cdf), np.max(cdf - (ecdf_hi - 1.0 / draws))))
-        ts.append(td.t)
-        ss.append(td.s)
-        kss.append(ks)
-    return LocationLawReport(a=a_grid, t=np.array(ts), s=np.array(ss),
-                             ks=np.array(kss), draws=draws)
+    tds = [tilt_to_mean(d, float(a)) for a in a_grid]
+    tables = [sampler_tilted(td) for td in tds]
+    ks = [np.max(np.abs(tb.F - ndtr((tb.x - a) / td.s)))
+          for a, td, tb in zip(a_grid, tds, tables)]
+    return LocationLawReport(a=a_grid, t=np.array([td.t for td in tds]),
+                             s=np.array([td.s for td in tds]), ks=np.array(ks))
 
 
 # ---------------------------------------------------------------------------
@@ -774,9 +752,11 @@ def exceedance_vs_point_equivalence(d: LightTailDensity, n: int, a_n: float,
 
     Raises MassTooSmall when an interval's empirical exceedance mass has
     lower confidence bound under 0.01: ratios on starved sets say nothing.
+    A weight ESS below ESS_FLOOR emits one LowESSWarning.
     """
     cond = ConditionDescriptor("exceedance", n, a_n)
     sample = sample_exceedance_conditional(d, cond, count, seed=seed)
+    _warn_low_ess(sample, n)
     td = tilt_to_mean(d, a_n)
     x1 = sample.coords[:, 0]
     rows = []

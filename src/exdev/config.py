@@ -145,22 +145,29 @@ def _parse_class(spec: str) -> ClassTag:
     raise ValidationError(f"bad class spec {spec!r} (beta:<index> | infinity)")
 
 
-def density_from_options(opts: Dict[str, str]) -> LightTailDensity:
+def density_from_options(opts: Dict[str, str],
+                         also_read: tuple = ()) -> LightTailDensity:
     """Build the density named by opts: weibull (needs k), double-exp, or
-    custom (needs terms and class)."""
+    custom (needs terms and class).  Refuses a density option that neither
+    the density nor the caller (also_read) reads."""
     if "density" not in opts:
         raise ConfigMissing("missing required option 'density'")
     kind = opts["density"].strip().lower().replace("_", "-")
+    reads = {"weibull": ("k",), "double-exp": (),
+             "custom": ("terms", "class")}.get(kind)
+    if reads is None:
+        raise ValidationError(f"unknown density {opts['density']!r}")
+    for key in ("k", "terms", "class"):
+        if key in opts and key not in reads + also_read:
+            raise ValidationError(f"density {kind} does not read {key}")
     if kind == "weibull":
         return weibull(as_float(opts, "k"))
     if kind == "double-exp":
         return double_exp()
-    if kind == "custom":
-        if "terms" not in opts:
-            raise ConfigMissing("custom density needs 'terms'")
-        if "class" not in opts:
-            raise ConfigMissing("custom density needs 'class'")
-        return density_from_terms(_parse_terms(opts["terms"]),
-                                  class_tag=_parse_class(opts["class"]),
-                                  name="custom")
-    raise ValidationError(f"unknown density {opts['density']!r}")
+    if "terms" not in opts:
+        raise ConfigMissing("custom density needs 'terms'")
+    if "class" not in opts:
+        raise ConfigMissing("custom density needs 'class'")
+    return density_from_terms(_parse_terms(opts["terms"]),
+                              class_tag=_parse_class(opts["class"]),
+                              name="custom")

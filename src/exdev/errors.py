@@ -87,3 +87,9 @@ class AsymptoticRangeWarning(UserWarning):
     """An asymptotic formula is being evaluated outside its trusted range."""
 
     tag = "ASYMPTOTIC_RANGE"
+
+
+class LowESSWarning(UserWarning):
+    """A weighted estimate rests on fewer effective draws than ESS_FLOOR."""
+
+    tag = "ESS_LOW"

@@ -32,10 +32,12 @@ from .tilting import TiltedDensity, tilt_to_mean
 
 __all__ = [
     "TailEstimate", "ISOracleResult", "rate_I", "tail_prob",
-    "sampler_tilted", "tail_prob_is_oracle", "LAMBDA_FLOOR",
+    "sampler_tilted", "tail_prob_is_oracle", "LAMBDA_FLOOR", "ESS_FLOOR",
 ]
 
 LAMBDA_FLOOR = 5.0
+# fewest effective draws a weighted estimate may rest on
+ESS_FLOOR = 100.0
 # rows per oracle batch; every batch owns its own random stream
 BATCH_ROWS = 250_000
 
@@ -193,9 +195,10 @@ def tail_prob_is_oracle(d: LightTailDensity, n: int, a: float,
     lse2 = _logsumexp(allw, scratch)  # log sum w^2
     log_p = lse1 - math.log(samples)
     ess = math.exp(2.0 * lse1 - lse2)
-    if ess < 100.0:
+    if ess < ESS_FLOOR:
         raise DegenerateWeights(
-            f"effective sample size {ess:.1f} < 100: weights too uneven")
+            f"effective sample size {ess:.1f} < {ESS_FLOOR:g}: weights too "
+            "uneven")
     # var(mean) = (E w^2 - (E w)^2)/N computed stably in log space
     log_m2 = lse2 - math.log(samples)
     log_mean = log_p

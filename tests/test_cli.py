@@ -108,6 +108,43 @@ def test_each_experiment_takes_only_its_flags(experiment, tmp_path, capsys):
         assert err.startswith("ERROR CONFIG_INVALID:"), err
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["tilt", "--density", "double-exp", "--k", "3"], "k"),
+    (["tilt", "--density", "weibull", "--k", "3", "--terms", "power:1:2"],
+     "terms"),
+    (["tail", "--density", "weibull", "--k", "2", "--class", "infinity"],
+     "class"),
+    (["edgeworth", "--density", "custom", "--terms", "power:1:2.5",
+      "--class", "beta:1.5", "--k", "3"], "k"),
+    (["dlp", "--k", "2.5", "--terms", "power:1:2"], "terms"),
+], ids=["double-exp-k", "weibull-terms", "weibull-class", "custom-k",
+        "dlp-weibull-terms"])
+def test_density_flag_the_density_does_not_read_rejected(args, flag,
+                                                          tmp_path, capsys):
+    out = tmp_path / "r"
+    code, _, err = run_cli(args + ["--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("ERROR CONFIG_INVALID:") and flag in err, err
+    assert list(tmp_path.iterdir()) == []
+    # the same option from a config file
+    experiment, *rest = args
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k[2:]} = {v}\n"
+                           for k, v in zip(rest[::2], rest[1::2])))
+    code, _, err = run_cli([experiment, "--config", str(cfg)], capsys)
+    assert code == 2
+    assert err.startswith("ERROR CONFIG_INVALID:") and flag in err, err
+
+
+def test_dlp_reads_k_whatever_the_density(tmp_path, capsys):
+    # the epsilon schedule reads k, so dlp keeps it for double-exp too
+    code, _, err = run_cli(["dlp", "--density", "double-exp", "--k", "3",
+                            "--n-list", "16", "--count", "1000",
+                            "--out", str(tmp_path / "r")], capsys)
+    assert code == 0, err
+    assert json.loads((tmp_path / "r.json").read_text())["config"]["k"] == "3"
+
+
 def test_missing_config_file(capsys):
     code, _, err = run_cli(["tilt", "--config", "/nonexistent/x.cfg"], capsys)
     assert code == 2
@@ -210,6 +247,20 @@ def test_warning_is_one_tagged_line(tmp_path):
                            "flagged\n")
     assert json.loads((tmp_path / "r.json").read_text())["results"][
         "lambda_ok"] is False
+
+
+def test_low_weight_ess_is_one_tagged_line(tmp_path):
+    # 2000 rows at n = 64 leave a weight ESS of 35.5: the report is written
+    # unchanged, and stderr says once that the estimate rests on few draws
+    proc = subprocess.run(
+        [sys.executable, "-m", "exdev", "dlp", "--k", "2.5", "--n-list", "64",
+         "--count", "2000", "--seed", "17", "--out", str(tmp_path / "r")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ("WARNING ESS_LOW: weight ESS 35.5 of 2000 rows at "
+                           "n=64 is below 100: the estimate rests on few "
+                           "effective draws\n")
+    assert (tmp_path / "r.json").exists()
 
 
 def test_gibbs_tv_refuses_non_convex_exponent(capsys):

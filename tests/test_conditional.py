@@ -3,10 +3,13 @@ schedule algebra, weighted consistency between the two conditioning modes."""
 
 import dataclasses
 import math
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import ks_2samp
 
 from exdev import (
@@ -17,6 +20,7 @@ from exdev import (
     DomainError,
     ExpTerm,
     LowAcceptance,
+    LowESSWarning,
     MassTooSmall,
     PowerTerm,
     ScheduleInfeasible,
@@ -37,7 +41,7 @@ from exdev import (
     tilt_to_mean,
     weibull,
 )
-from exdev import conditional, tables
+from exdev import conditional, tables, tails
 
 from helpers import ks_statistic, simpson_integral
 
@@ -141,6 +145,20 @@ def test_point_sampler_refuses_non_log_concave_pair_law(make):
     cond = ConditionDescriptor("point", 4, 2.0)
     with pytest.raises(DomainError):
         sample_point_conditional(make(), cond, chains=8, steps=4, burn_in=8)
+
+
+def test_point_sampler_refuses_levels_past_its_precision(dexp):
+    # g(60) = e^59 for double-exp: doubles near 2 g are 1.7e10 apart, so
+    # l(w) - l(0) has no digits left and a draw would be wrong or never end
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError, match="precision"):
+        sample_point_conditional(dexp, ConditionDescriptor("point", 8, 60.0))
+    assert time.perf_counter() - t0 < 1.0
+    # the highest level the tilt reaches, m(t_cap) = 24.03, stays admitted
+    sample = sample_point_conditional(
+        dexp, ConditionDescriptor("point", 2, 24.03), chains=4, steps=2,
+        burn_in=0)
+    assert sample.residual < 1e-12
 
 
 # --- pair step bit identity ------------------------------------------------------
@@ -431,6 +449,10 @@ def test_tv_pooled_point_path(weibull25):
     # the Gaussian-corrected reference fits the finite-n marginal better
     assert est_so.tv < est_tilt.tv
     assert est_so.tv < 0.1
+    # and so does the exact marginal, which the sampler draws from
+    est_exact = marginal_tv(
+        sample, lambda y: gibbs_local_check(weibull25, cond, y).density)
+    assert est_exact.tv < est_tilt.tv
 
 
 def _gibbs_sample(values, chains):
@@ -597,6 +619,24 @@ def test_dlp_estimate_exact_when_every_row_inside(weibull25):
     assert 0.0 <= sched.estimate <= 1.0
 
 
+def test_dlp_warns_once_below_the_ess_floor(weibull25):
+    # 2000 rows at n = 64 keep a weight ESS near 35; 20000 at n = 16, 1673
+    n = 64
+    a = float(n) ** 0.4
+    cond = ConditionDescriptor("exceedance", n, a)
+    sample = sample_exceedance_conditional(weibull25, cond, 2000, seed=17)
+    with pytest.warns(LowESSWarning, match="n=64") as caught:
+        est = dlp_check(weibull25, cond, epsilon_schedule(2.5, n, a),
+                        sample=sample)
+    assert len(caught) == 1
+    assert est.ess < tails.ESS_FLOOR
+    cond = ConditionDescriptor("exceedance", 16, 16.0 ** 0.4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dlp_check(weibull25, cond, epsilon_schedule(2.5, 16, 16.0 ** 0.4),
+                  count=20_000, seed=17)
+
+
 def test_dlp_precondition_guard(weibull25):
     cond = ConditionDescriptor("exceedance", 64, 64.0 ** 0.4)
     win = epsilon_schedule(2.5, 64, 64.0 ** 0.4)
@@ -604,37 +644,105 @@ def test_dlp_precondition_guard(weibull25):
         dlp_check(weibull25, cond, win, delta=50.0)
 
 
-# --- gibbs local ratio -------------------------------------------------------------------
+# --- exact point-conditional marginal ------------------------------------------------------
+
+def _exact_marginal(d, n, a):
+    """y over the tilted bulk (a +- 40 s, cut at 0) and the exact law of X_1
+    given S_n = n a on it."""
+    td = tilt_to_mean(d, a)
+    y = np.linspace(max(0.0, a - 40.0 * td.s), a + 40.0 * td.s, 20_001)
+    return y, gibbs_local_check(d, ConditionDescriptor("point", n, a), y)
+
+
+def _tv(y, p, q):
+    return 0.5 * np.trapezoid(np.abs(p - q), y)
+
 
 def test_gibbs_local_ratio_near_one(weibull25):
+    # the leave-one-out density flattens at rate 1/(n-1) on the tilted bulk:
+    # with a Gaussian r_{n-1} the ratio at y = a is 1 + 1/(2(n-1)) to first
+    # order, and the second-order terms are O(1/(n-1)^2)
     n, a = 16, 2.0
     cond = ConditionDescriptor("point", n, a)
     td = tilt_to_mean(weibull25, a)
     y = a + td.s * np.array([-1.0, 0.0, 1.0])
-    rep = gibbs_local_check(weibull25, cond, y, chains=256, steps=64,
-                            burn_in=1000, seed=11)
-    assert np.all(np.abs(rep.ratio - 1.0) < 0.15)
-    inside = (rep.band_low <= 1.0) & (1.0 <= rep.band_high)
-    assert inside.sum() >= 2
-    assert rep.bandwidth > 0.0
+    rep = gibbs_local_check(weibull25, cond, y)
+    assert abs(rep.ratio[1] - (1.0 + 0.5 / (n - 1))) < 0.25 / (n - 1) ** 2
+    assert rep.ratio[1] > max(rep.ratio[0], rep.ratio[2])
+    assert np.all(np.abs(rep.ratio - 1.0) < 0.05)
+    np.testing.assert_array_equal(rep.reference, td.pdf(y))
+    with pytest.raises(DomainError):
+        gibbs_local_check(weibull25, ConditionDescriptor("exceedance", n, a),
+                          y)
+
+
+@pytest.mark.parametrize("a", [1.27, 2.0, 5.0])
+def test_gibbs_local_n2_matches_quadrature(weibull25, a):
+    # n = 2: X_1 given X_1 + X_2 = 2a has density p(y) p(2a - y) / Z
+    td = tilt_to_mean(weibull25, a)
+    y = np.linspace(max(0.0, a - 12.0 * td.s), min(2.0 * a, a + 12.0 * td.s),
+                    4001)
+    rep = gibbs_local_check(weibull25, ConditionDescriptor("point", 2, a), y)
+    top = 2.0 * float(weibull25.log_pdf(a))
+    dens = lambda u: np.exp(weibull25.log_pdf(u)
+                            + weibull25.log_pdf(2.0 * a - u) - top)
+    quad = dens(y) / simpson_integral(dens, 0.0, 2.0 * a, points=400_001)
+    assert np.max(np.abs(rep.density - quad)) < 1e-6 * quad.max()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: weibull(1.5), lambda: weibull(2.5), lambda: weibull(4.0),
+    double_exp], ids=["weibull1.5", "weibull2.5", "weibull4", "double_exp"])
+def test_exact_tv_rate_constant(make):
+    # n sqrt(2 pi e) TV(exact, pi_t) -> 1 whatever the density: 1/(n
+    # sqrt(2 pi e)) is the TV between N(0, 1) and N(0, (n-1)/n)
+    n = 512
+    y, rep = _exact_marginal(make(), n, n ** 0.35)
+    tv = _tv(y, rep.density, rep.reference)
+    assert abs(n * math.sqrt(2.0 * math.pi * math.e) * tv - 1.0) < 0.01
+
+
+def test_second_order_reference_close_to_exact(weibull25):
+    # the Gaussian-corrected reference sits at least 10x closer to the exact
+    # marginal than the tilted law does (measured 21-73x)
+    for n in (8, 32, 128, 512):
+        a = n ** 0.35
+        y, rep = _exact_marginal(weibull25, n, a)
+        so = second_order_reference(weibull25, n, a)
+        assert (10.0 * _tv(y, rep.density, so.pdf(y))
+                < _tv(y, rep.density, rep.reference)), n
 
 
 # --- tilted location law --------------------------------------------------------------------
 
 def test_location_law_sharpens(weibull3):
-    # keep the top level moderate: beyond it the KS statistic sits at the
-    # finite-sample noise floor ~1/sqrt(draws) and stops ordering
-    rep = location_law_check(weibull3, (1.5, 5.0, 20.0), draws=200_000, seed=12)
-    assert rep.ks_decreasing
-    assert rep.s_decreasing
-    assert rep.ks[-1] < 0.01
+    # exact, so the KS keeps ordering far past the 1/sqrt(draws) floor of a
+    # sampled estimate (measured 9.3e-3 at a = 1.5 down to 4.9e-6 at 320)
+    rep = location_law_check(weibull3, (1.5, 5.0, 20.0, 80.0, 320.0))
+    assert np.all(np.diff(rep.ks) < 0.0)
+    assert np.all(np.diff(rep.s) < 0.0)
+    assert rep.ks[-1] < 1e-5
+
+
+@pytest.mark.parametrize("a", [1.5, 20.0, 320.0])
+def test_location_law_matches_dense_cdf(weibull3, a):
+    # the max over the table's knots is the sup of |F - Phi| of a dense
+    # 400,001-point CDF of the tilted density
+    td = tilt_to_mean(weibull3, a)
+    table = sampler_tilted(td)
+    x = np.linspace(table.x[0], table.x[-1], 400_001)
+    f = td.pdf(x)
+    F = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(x))])
+    dense = np.max(np.abs(F / F[-1] - ndtr((x - a) / td.s)))
+    rep = location_law_check(weibull3, a)
+    assert abs(rep.ks[0] - dense) < 1e-6
 
 
 def test_location_law_k2_variance_order_one(weibull2):
-    rep = location_law_check(weibull2, (10.0, 40.0), draws=50_000, seed=13)
+    rep = location_law_check(weibull2, (10.0, 40.0))
     # h' -> 2 for the quadratic exponent, so s^2 -> 1/2 instead of shrinking
     np.testing.assert_allclose(rep.s, 1.0 / math.sqrt(2.0), rtol=0.02)
-    assert not rep.s_decreasing
+    assert not np.all(np.diff(rep.s) < 0.0)
 
 
 # --- exceedance vs point equivalence ----------------------------------------------------------
@@ -646,6 +754,20 @@ def test_equivalence_full_line_ratio_one(weibull25):
     assert row.p_exceedance == pytest.approx(1.0, abs=1e-12)
     assert row.ratio == pytest.approx(1.0, abs=5e-3)
     assert 0.35 < rep.acceptance < 0.65
+
+
+def test_equivalence_warns_below_the_ess_floor(weibull25):
+    # 500 rows keep a weight ESS near 34, 2000 rows one near 147
+    with pytest.warns(LowESSWarning) as caught:
+        rep = exceedance_vs_point_equivalence(weibull25, 64, 2.0,
+                                              [(0.0, 50.0)], count=500,
+                                              seed=14)
+    assert len(caught) == 1
+    assert rep.ess < tails.ESS_FLOOR
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exceedance_vs_point_equivalence(weibull25, 64, 2.0, [(0.0, 50.0)],
+                                        count=2000, seed=14)
 
 
 def test_equivalence_starved_interval_raises(weibull25):

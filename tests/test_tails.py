@@ -10,6 +10,7 @@ from scipy.special import logsumexp
 
 from exdev import (
     AsymptoticRangeWarning,
+    DegenerateWeights,
     DomainError,
     NotSolvable,
     invert_m,
@@ -18,6 +19,7 @@ from exdev import (
     tail_prob,
     tail_prob_is_oracle,
     tilt_to_mean,
+    weibull,
 )
 from exdev import tails
 from exdev.tilting import density_mean
@@ -146,6 +148,12 @@ def test_is_oracle_se_scales_with_samples(weibull2):
 def test_is_oracle_rejects_tiny_budget(weibull2):
     with pytest.raises(DomainError):
         tail_prob_is_oracle(weibull2, 5, 2.5, samples=100)
+
+
+def test_is_oracle_refuses_weights_below_the_ess_floor():
+    # 1000 rows at n = 256 leave a weight ESS near 2
+    with pytest.raises(DegenerateWeights, match=f"< {tails.ESS_FLOOR:g}:"):
+        tail_prob_is_oracle(weibull(2.5), 256, 256 ** 0.4, samples=1000)
 
 
 def test_is_oracle_rejects_empty_rows(weibull2):
