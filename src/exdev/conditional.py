@@ -499,22 +499,34 @@ class GibbsLocalReport:
 def gibbs_local_check(d: LightTailDensity, cond: ConditionDescriptor,
                       y_grid) -> GibbsLocalReport:
     """Exact ratio of the density of X_1 given S_n = n a to the tilted
-    density pi_t, on y_grid: r(z1_centered(n, a, y, s)) / C, with r the
+    density pi_t, on y_grid (tilting leaves the conditional law unchanged).
+
+    For n >= 3 it is r(z1_centered(n, a, y, s)) / C, with r the
     standardized (n-1)-fold tilted density of convolve_oracle and C one
-    trapezoid of pi_t r over a +- 40 s, cut at 0 (tilting leaves the
-    conditional law unchanged).  Exact up to r's grid, which at n = 2
-    resolves a kink or jump of pi_t at 0 only to its width.
+    trapezoid of pi_t r over a +- 40 s, cut at 0.  For n = 2 it is
+    pi_t(2a - y) / C on [0, 2a] and 0 beyond, with C the trapezoid of
+    pi_t(y) pi_t(2a - y) over a +- 40 s cut to [0, 2a], so a kink or jump
+    of pi_t at 0 stays at a node.
     """
     if cond.kind != "point":
         raise DomainError("the local ratio needs a point descriptor")
     n, a = cond.n, cond.a_n
     td = tilt_to_mean(d, a)
-    r = convolve_oracle(td, n - 1)
-    bulk = np.linspace(max(0.0, a - 40.0 * td.s), a + 40.0 * td.s, 20_001)
-    norm = np.trapezoid(td.pdf(bulk) * r(z1_centered(n, a, bulk, td.s)), bulk)
     y = np.atleast_1d(np.asarray(y_grid, dtype=float))
-    return GibbsLocalReport(y=y, ratio=r(z1_centered(n, a, y, td.s)) / norm,
-                            reference=td.pdf(y))
+    lo, hi = max(0.0, a - 40.0 * td.s), a + 40.0 * td.s
+    if n == 2:
+        def r(u):
+            return np.where(u <= 2.0 * a,
+                            td.pdf(np.maximum(2.0 * a - u, 0.0)), 0.0)
+        hi = min(hi, 2.0 * a)
+    else:
+        oracle = convolve_oracle(td, n - 1)
+
+        def r(u):
+            return oracle(z1_centered(n, a, u, td.s))
+    bulk = np.linspace(lo, hi, 20_001)
+    norm = np.trapezoid(td.pdf(bulk) * r(bulk), bulk)
+    return GibbsLocalReport(y=y, ratio=r(y) / norm, reference=td.pdf(y))
 
 
 # ---------------------------------------------------------------------------

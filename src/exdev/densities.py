@@ -15,9 +15,14 @@ as accuracy anchors for tests.
 
 g and g' have two evaluation paths through the term catalog: the array path
 (`LightTailDensity.g`, `g_prime`) and the scalar path (`g_scalar`,
-`g_prime_scalar`) that the quadrature and root-finding callbacks run once
-per float.  The scalar path calls the same numpy ufuncs on each term, so its
-values equal the array path's bit for bit, x = 0 and exp overflow included.
+`g_prime_scalar`) that the root-finding and normalizer quadrature
+callbacks run once per float.  The scalar path calls the same numpy ufuncs
+on each term, so its values equal the array path's bit for bit, x = 0 and
+exp overflow included.
+
+`LightTailDensity.excess(x0, delta)` is g(x0 + delta) - g(x0) - g'(x0) delta
+on an array of offsets, each term's share formed without cancellation, so
+the tilted exponent about its peak keeps its digits however large t x is.
 """
 
 from __future__ import annotations
@@ -47,6 +52,13 @@ __all__ = [
 # left end of the regular region: psi is defined on h(x) >= h(X_MIN_REGULAR)
 X_MIN_REGULAR = 1.0
 PSI_REL_TOL = 1e-10
+
+# GTerm.excess sums the Taylor series through SERIES_ORDER where its
+# argument is below SERIES_BELOW in size: there expm1 or log1p minus its
+# linear part would cancel, and the series' first omitted term is below
+# 1e-16 of its leading one
+SERIES_BELOW = 1e-2
+SERIES_ORDER = 10
 
 
 @dataclass(frozen=True)
@@ -81,6 +93,20 @@ class GTerm:
         """float -> float form of value ("value") or d1 ("d1")."""
         raise NotImplementedError
 
+    def excess(self, x0: float, delta: np.ndarray) -> np.ndarray:
+        """value(x0 + delta) - value(x0) - d1(x0) delta, for x0 > 0 and
+        x0 + delta >= 0, without cancellation."""
+        raise NotImplementedError
+
+
+def _excess(direct: np.ndarray, a: np.ndarray, coefs) -> np.ndarray:
+    """direct where |a| >= SERIES_BELOW, else sum_k coefs[k - 2] a^k over
+    k = 2..SERIES_ORDER (Horner)."""
+    near = coefs[-1]
+    for c in coefs[-2::-1]:
+        near = near * a + c
+    return np.where(np.abs(a) < SERIES_BELOW, near * a * a, direct)
+
 
 @dataclass(frozen=True)
 class PowerTerm(GTerm):
@@ -114,6 +140,17 @@ class PowerTerm(GTerm):
             c, p = c * p, p - 1.0
         return lambda x: c * float(np.power(x, p))
 
+    def excess(self, x0, delta):
+        # x0^p ((1 + u)^p - 1 - p u), u = delta / x0; series coefficients
+        # are the binomials C(p, k)
+        p, u = self.exponent, delta / x0
+        coefs, c = [], p
+        for k in range(2, SERIES_ORDER + 1):
+            c *= (p - k + 1.0) / k
+            coefs.append(c)
+        direct = np.expm1(p * np.log1p(u)) - p * u
+        return self.coef * x0 ** p * _excess(direct, u, coefs)
+
 
 @dataclass(frozen=True)
 class LogTerm(GTerm):
@@ -134,6 +171,12 @@ class LogTerm(GTerm):
         if pick == "value":
             return lambda x: c * float(np.log(x)) if x != 0.0 else at_zero(x)
         return lambda x: c / x if x != 0.0 else at_zero(x)
+
+    def excess(self, x0, delta):
+        # log1p(u) - u, u = delta / x0; -inf at x0 + delta = 0
+        u = delta / x0
+        coefs = [(-1.0) ** (k + 1) / k for k in range(2, SERIES_ORDER + 1)]
+        return self.coef * _excess(np.log1p(u) - u, u, coefs)
 
 
 @dataclass(frozen=True)
@@ -157,6 +200,13 @@ class ExpTerm(GTerm):
         if pick == "d1":
             c = c * r
         return lambda x: c * float(np.exp(r * x))
+
+    def excess(self, x0, delta):
+        # e^{r x0} (expm1(r delta) - r delta)
+        a = self.rate * delta
+        coefs = [1.0 / math.factorial(k) for k in range(2, SERIES_ORDER + 1)]
+        return (self.coef * math.exp(self.rate * x0)
+                * _excess(np.expm1(a) - a, a, coefs))
 
 
 def _add_terms(terms: Sequence[GTerm], pick: str, x: np.ndarray):
@@ -225,6 +275,17 @@ class LightTailDensity:
 
     def g_third(self, x):
         return _sum_terms(self.terms, "d3", x)
+
+    def excess(self, x0: float, delta) -> np.ndarray:
+        """g(x0 + delta) - g(x0) - g'(x0) delta on a float array delta, for
+        x0 > 0 and x0 + delta >= 0, summed over the catalog in its order;
+        +-inf where a log term meets 0, as log does."""
+        delta = np.asarray(delta, dtype=float)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out = self.terms[0].excess(x0, delta)
+            for t in self.terms[1:]:
+                out = out + t.excess(x0, delta)
+        return out
 
     @cached_property
     def g_scalar(self) -> Callable[[float], float]:

@@ -2,24 +2,31 @@
 
 Every integral here is of the form integral of exp(L(x)) dx over [0, inf)
 where L has a single interior or boundary maximum and decays superlinearly.
-The peak value is subtracted before exponentiation, the integration window is
-cut where the normalized integrand falls below exp(-DROP), and scipy's
-adaptive quadrature runs on the bounded window with the peak registered as a
-breakpoint.  Values are returned on the log scale, so exponents of order 1e5
-are routine.
+Values are returned on the log scale, so exponents of order 1e5 are
+routine.
 
-The callbacks L and h are scalar Python functions called once per node.  The
-densities and tilting layers build them on the scalar term path
-(`LightTailDensity.g_scalar`, `g_prime_scalar`), which equals the array path
-g(x), g'(x) bit for bit, so quad sees the same values either way.
+`moments` (mass, mean, variance and mu3 of exp(L), the tilted cumulants) is
+one vectorized trapezoid on the centered exponent E(delta) = L(x* + delta)
+- L(x*), which the caller forms without cancellation, so its digits do not
+depend on the size of L.  The trapezoid converges exponentially for smooth
+integrands with fast decay (Trefethen & Weideman 2014, SIAM Rev. 56:385),
+and the same nodes at step 2h give its error estimate.  Where the integrand
+has a kink or jump at x = 0 inside the window, the trapezoid runs in
+v = log x instead.
+
+`log_integral` (the normalizer of a density) cuts the window where the
+normalized integrand falls below exp(-DROP) and runs scipy's adaptive
+quadrature on it, with the peak registered as a breakpoint; its callback L
+is a scalar Python function called once per node.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
+import numpy as np
 from scipy import integrate
 
 from .errors import Divergent, NonMonotone, NumericalError
@@ -28,8 +35,22 @@ from .errors import Divergent, NonMonotone, NumericalError
 DROP = 690.0
 BISECT_ITERS = 80
 EPSREL = 1e-11
+
+# the moment trapezoids: node step H in standard units (1/sqrt(-L'') at
+# the rule's center), the tolerance on the h-versus-2h difference, the
+# window probes in standard units (the last one bounds the window), and the
+# integrand level, relative to the peak, below which a cut loses nothing
+# (exp(-40) ~ 4e-18)
+H = 0.05
+TRAP_TOL = 1e-12
+REACH = 40.0 * 2.0 ** np.arange(7)
+CLIP_DROP = 40.0
 # left end of exponent_peak's bracket: h is never evaluated at 0 itself
 PEAK_LO = 1e-12
+
+# x0 -> (L(x0), the centered exponent about x0, h'(x0)); see `moments`
+Centered = Callable[[float], tuple[float, Callable[[np.ndarray], np.ndarray],
+                                   float]]
 
 
 def bisect_drop(L: Callable[[float], float], x_in: float, x_out: float,
@@ -115,77 +136,127 @@ class LogMoments:
     mu3: float
 
 
-def moments(L: Callable[[float], float], x_peak: float) -> LogMoments:
-    """Mean, variance and third central moment of the density prop. to exp(L).
+def moments(h: Callable[[float], float], t: float, centered: Centered,
+            probe: float) -> LogMoments:
+    """Mean, variance and third central moment of the density prop. to
+    exp(L) on [0, inf), where L' = t - h and h increases.
 
-    Odd moments about the center suffer catastrophic cancellation at strong
-    tilts (the law is nearly symmetric, so the two halves of a centered
-    integral agree to many digits).  They are therefore integrated in the
-    reflected variable u = |x - c| with integrand u^k (f(c+u) - f(c-u)),
-    which subtracts inside the integrand, and the residual offset of the
-    reflection center c from the true mean is removed through the exact
-    shift identities for central moments.
+    centered(x0) gives, for x0 > 0, L(x0), the centered exponent delta ->
+    L(x0 + delta) - L(x0) on float arrays (formed without cancellation) and
+    h'(x0).  At an interior peak x* (h(x*) = t, found from probe) one
+    trapezoid in x sums the mass and the moments (`_x_rule`).  Where that
+    rule does not apply, a kink or jump of the integrand at x = 0 inside
+    its window, the same trapezoid runs in v = log x about the peak of
+    L(e^v) + v (`_log_rule`), which turns the edge into exponential decay.
     """
-    x_lo, x_hi = window(L, x_peak)
-    M = L(x_peak)
-    # forming L at a strong tilt cancels terms of size |L(x_peak)|, leaving
-    # relative rounding noise ~eps * |M| in every integrand value; asking
-    # quad for more than that just burns subdivisions
-    noise = 1e-14 + 2e-15 * abs(M)
-    epsrel = max(EPSREL, noise)
+    x_peak = exponent_peak(h, t, probe)
+    mom = _x_rule(centered, x_peak) if x_peak > 0.0 else None
+    if mom is None:
+        # the peak of L(x) + log x, which is L(e^v) + v
+        x0 = exponent_peak(lambda x: h(x) - 1.0 / x, t, probe)
+        mom = _log_rule(centered, x0) if x0 > 0.0 else None
+    if mom is None:
+        raise NumericalError(
+            f"moment trapezoid missed its tolerance at t={t!r}")
+    return mom
 
-    def f(x: float) -> float:
-        return math.exp(L(x) - M)
 
-    z = _quad(f, x_lo, x_hi, [x_peak], epsrel)
-    if not z > 0.0:
-        raise NumericalError("quadrature returned a non-positive mass")
-    c = _quad(lambda x: x * f(x), x_lo, x_hi, [x_peak], epsrel) / z
+def _x_rule(centered: Centered, x_peak: float) -> Optional[LogMoments]:
+    """The trapezoid in delta = x - x_peak with step H / sqrt(h'(x_peak))
+    over the window where E >= -DROP, or None when that window is cut at
+    x = 0 with the integrand within one step of the cut above
+    exp(-CLIP_DROP) of its peak, reaches past REACH[-1] standard units, or
+    the rule misses TRAP_TOL."""
+    L0, E, curvature = centered(x_peak)
+    if not 0.0 < curvature < math.inf:
+        return None
+    scale = 1.0 / math.sqrt(curvature)
+    step = H * scale
+    # left probes stop at x = 0; REACH increases, so they are a prefix
+    inside = int(np.sum(REACH * scale < x_peak))
+    probe = E(np.concatenate((REACH * scale, -REACH[:inside] * scale,
+                              [-x_peak, step - x_peak])))
+    k = REACH.size
+    j_hi, j_lo = _reach(probe[:k], DROP), _reach(probe[k:-2], DROP)
+    if j_hi is None:
+        return None
+    if j_lo is not None:
+        j_lo = -j_lo
+    elif probe[-2:].max() < -CLIP_DROP:
+        j_lo = -math.floor(x_peak / step)
+        if j_lo * step < -x_peak:
+            j_lo += 1
+    else:
+        return None
+    delta = np.arange(j_lo, j_hi + 1) * step
+    return _rule(L0 + math.log(step), x_peak, delta, E(delta), j_lo)
 
-    reach_r = x_hi - c
-    reach_l = c - x_lo
 
-    def even2() -> float:
-        left = _quad(lambda x: (x - c) ** 2 * f(x), x_lo, c,
-                     [x_peak], epsrel) if x_lo < c else 0.0
-        right = _quad(lambda x: (x - c) ** 2 * f(x), c, x_hi,
-                      [x_peak], epsrel) if c < x_hi else 0.0
-        return (left + right) / z
+def _log_rule(centered: Centered, x0: float) -> Optional[LogMoments]:
+    """The trapezoid in v = log(x / x0), x0 the peak of L(e^v) + v, with
+    step H / sqrt(1 + x0^2 h'(x0)) over the window where L(x0 e^v) + v
+    stays within CLIP_DROP of its value at x0 (the mass beyond is below
+    exp(-CLIP_DROP) of the peak's), or None when the window reaches past
+    REACH[-1] standard units or the rule misses TRAP_TOL."""
+    L0, E, curvature = centered(x0)
+    curvature_v = 1.0 + x0 * x0 * curvature
+    if not 0.0 < curvature_v < math.inf:
+        return None
+    scale = 1.0 / math.sqrt(curvature_v)
+    step = H * scale
 
-    m2 = even2()
-    sig = math.sqrt(m2) if m2 > 0.0 else 0.0
+    def F(v: np.ndarray) -> np.ndarray:
+        return E(x0 * np.expm1(v)) + v
 
-    def odd_moment(power: int) -> float:
-        # exp(B) expm1(A - B) keeps the error of the difference proportional
-        # to the local density, not to the peak, so the u^power weight cannot
-        # amplify float noise from the window fringes
-        def g(u: float) -> float:
-            A = L(c + u) - M if u <= reach_r else -math.inf
-            B = L(c - u) - M if u <= reach_l else -math.inf
-            if B == -math.inf:
-                diff = math.exp(A)
-            elif A == -math.inf:
-                diff = -math.exp(B)
-            else:
-                diff = math.exp(B) * math.expm1(A - B)
-            return u ** power * diff
+    with np.errstate(over="ignore", invalid="ignore"):
+        probe = F(np.concatenate((REACH * scale, -REACH * scale)))
+    k = REACH.size
+    j_hi, j_lo = _reach(probe[:k], CLIP_DROP), _reach(probe[k:], CLIP_DROP)
+    if j_hi is None or j_lo is None:
+        return None
+    v = np.arange(-j_lo, j_hi + 1) * step
+    return _rule(L0 + math.log(x0 * step), x0, x0 * np.expm1(v), F(v), -j_lo)
 
-        # breakpoints: the reflected peak, and the point where the shorter
-        # branch runs off its end of the window (g kinks there); the
-        # integral itself vanishes for near-symmetric laws, so the noise
-        # floor must be absolute, scaled like the moment
-        return _quad(g, 0.0, max(reach_r, reach_l),
-                     [abs(x_peak - c), min(reach_r, reach_l)],
-                     epsrel, epsabs=noise * z * sig ** power) / z
 
-    m1 = odd_moment(1)   # true mean minus c, free of half-cancellation
-    m3 = odd_moment(3)
-    mean = c + m1
-    var = m2 - m1 * m1
-    mu3 = m3 - 3.0 * m1 * m2 + 2.0 * m1 ** 3
-    if not (var > 0.0 and math.isfinite(var)):
-        raise NumericalError("non-positive variance from moment quadrature")
-    return LogMoments(log_z=M + math.log(z), mean=mean, var=var, mu3=mu3)
+def _reach(probe: np.ndarray, drop: float) -> Optional[int]:
+    """Node count ceil(REACH[i] / H) out to the first probe (at REACH[i]
+    standard units) below -drop, or None when no probe is."""
+    below = probe < -drop
+    return math.ceil(REACH[below.argmax()] / H) if below.any() else None
+
+
+def _rule(log_unit: float, x0: float, delta: np.ndarray, log_w: np.ndarray,
+          j_lo: int) -> Optional[LogMoments]:
+    """LogMoments of the nodes x0 + delta (node j_lo first) with
+    trapezoid weights exp(log_w) in units of exp(log_unit), or None when the
+    rule and its step-2h half, the nodes of even j, differ by more than
+    TRAP_TOL (z and s2 relative, the mean in units of s, mu3 in units of
+    s^3)."""
+    w = np.exp(log_w)
+    z, mean, var, mu3 = _sums(delta, w)
+    even = j_lo % 2
+    z2, mean2, var2, mu3_2 = _sums(delta[even::2], w[even::2])
+    if not (var > 0.0 and math.isfinite(var) and z > 0.0
+            and math.isfinite(log_unit)):
+        return None
+    s = math.sqrt(var)
+    err = max(abs(z / (2.0 * z2) - 1.0), abs(mean - mean2) / s,
+              abs(var / var2 - 1.0), abs(mu3 - mu3_2) / s ** 3)
+    if not err <= TRAP_TOL:
+        return None
+    return LogMoments(log_z=log_unit + math.log(z), mean=x0 + float(mean),
+                      var=float(var), mu3=float(mu3))
+
+
+def _sums(delta: np.ndarray, w: np.ndarray):
+    """Sum of w, and the mean, variance and mu3 of delta under weights w
+    (centered in a second pass).  Products are summed by numpy's pairwise
+    sum, not BLAS dot, so no BLAS thread is woken."""
+    z = w.sum()
+    mean = (delta * w).sum() / z
+    dev = delta - mean
+    dw = dev * dev * w
+    return z, mean, dw.sum() / z, (dw * dev).sum() / z
 
 
 def exponent_peak(h: Callable[[float], float], t: float,

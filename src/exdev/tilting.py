@@ -1,16 +1,18 @@
 """Exponential tilting and cumulant asymptotics.
 
 The tilted family is pi_t(x) = exp(t*x) p(x) / phi(t).  Its mean m(t),
-variance s2(t) and third central moment mu3(t) are computed as quadrature
-moments of the tilted density itself (peak-centered, log-domain), never by
-finite-differencing log phi; finite differences exist only as cross-checks in
-the test suite.  For large t the comparison scale is the inverse function
+variance s2(t) and third central moment mu3(t) are computed as moments of
+the tilted density itself by quadrature.moments, never by finite-differencing
+log phi; finite differences exist only as cross-checks in the test suite.
+The tilted exponent enters as its centered form about x0: (t - g'(x0)) delta
+minus each term's excess g_i(x0 + delta) - g_i(x0) - g_i'(x0) delta
+(`LightTailDensity.excess`), so the cumulants keep their digits where t*x is
+huge.  For large t the comparison scale is the inverse function
 psi = h^{-1}: m ~ psi, s2 ~ psi', with the third-moment ratio recorded
 against the reference constant (M6-3)/2 as a diagnostic.
 
-The tilted exponent t*x - g(x), the peak equation h(x) = t and the guess
-h(a) of invert_m run on the scalar term path (`g_scalar`, `g_prime_scalar`),
-which equals the array path's g and g' bit for bit.
+The peak equation h(x) = t and the guess h(a) of invert_m run on the scalar
+term path (`g_prime_scalar`), which equals the array path's g' bit for bit.
 """
 
 from __future__ import annotations
@@ -77,27 +79,35 @@ class TiltedDensity:
         return f"TiltedDensity({self.base.name}, t={self.t:.6g}, m={self.m:.6g})"
 
 
-def _exponent_callable(d: LightTailDensity, t: float):
+def _centered(d: LightTailDensity, t: float):
+    """x0 -> (L(x0), E, g''(x0)) for L(x) = t x - g(x) + q(x), with E(delta)
+    = L(x0 + delta) - L(x0) = (t - g'(x0)) delta - excess + the change of q
+    on float arrays; quadrature.moments' `centered`."""
     g, q = d.g_scalar, d.q
 
-    def L(x: float) -> float:
-        v = t * x - g(x)
-        if q is not None:
-            v += float(q(x))
-        return v if math.isfinite(v) else -math.inf
+    def centered(x0: float):
+        slope = t - d.g_prime_scalar(x0)
+        q0 = 0.0 if q is None else float(q(x0))
 
-    return L
+        def E(delta: np.ndarray) -> np.ndarray:
+            out = slope * delta - d.excess(x0, delta)
+            if q is not None:
+                out = out + (np.asarray(q(x0 + delta), dtype=float) - q0)
+            return out
 
+        return t * x0 - g(x0) + q0, E, float(d.g_second(x0))
 
-def _tilt_peak(d: LightTailDensity, t: float) -> float:
-    return quadrature.exponent_peak(d.g_prime_scalar, t, X_MIN_REGULAR)
+    return centered
 
 
 @lru_cache(maxsize=65536)
 def _cumulants_cached(d: LightTailDensity, t: float) -> TiltedDensity:
-    peak = _tilt_peak(d, t)
-    mom = quadrature.moments(_exponent_callable(d, t), peak)
-    return TiltedDensity(base=d, t=t, log_phi=d.log_c + mom.log_z,
+    mom = quadrature.moments(d.g_prime_scalar, t, _centered(d, t),
+                             X_MIN_REGULAR)
+    # phi(0) = 1 exactly; the rule's mass at t = 0 meets log_integral's
+    # normalizer only to rounding
+    log_phi = 0.0 if t == 0.0 else d.log_c + mom.log_z
+    return TiltedDensity(base=d, t=t, log_phi=log_phi,
                          m=mom.mean, s2=mom.var, mu3=mom.mu3)
 
 
@@ -212,9 +222,7 @@ def tilt_to_mean(d: LightTailDensity, a: float) -> TiltedDensity:
 # ---------------------------------------------------------------------------
 # asymptotic comparison reports
 
-# the tilted exponent t*x reaches ~5e7 on the t <= 1e4 grids the reports use,
-# so log-density values carry ~1e-8 absolute rounding noise; skewness ratios
-# below this floor are numerically zero and cannot be ordered
+# skew_monotone_decreasing counts skewness below this floor as ordered
 SKEW_FLOOR = 1e-8
 
 

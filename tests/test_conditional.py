@@ -690,6 +690,27 @@ def test_gibbs_local_n2_matches_quadrature(weibull25, a):
     assert np.max(np.abs(rep.density - quad)) < 1e-6 * quad.max()
 
 
+@pytest.mark.parametrize("a", [1.27, 2.0])
+@pytest.mark.parametrize("make", [lambda: weibull(1.5), double_exp],
+                         ids=["weibull1.5", "double_exp"])
+def test_gibbs_local_n2_exact_at_an_edge(make, a):
+    # a kink (x^0.5) or jump of pi_t at 0 reaches the n = 2 law at y = 2a;
+    # taken from a convolution grid it was off by 0.37% and 6.2% of the
+    # peak at a = 1.27 (measured 1.5e-7 and 7e-10 now)
+    d = make()
+    td = tilt_to_mean(d, a)
+    y = np.linspace(max(0.0, a - 12.0 * td.s), min(2.0 * a, a + 12.0 * td.s),
+                    4001)
+    rep = gibbs_local_check(d, ConditionDescriptor("point", 2, a), y)
+    top = 2.0 * float(d.log_pdf(a))
+    dens = lambda u: np.exp(d.log_pdf(u) + d.log_pdf(2.0 * a - u) - top)
+    quad = dens(y) / simpson_integral(dens, 0.0, 2.0 * a, points=400_001)
+    assert np.max(np.abs(rep.density - quad)) < 1e-6 * quad.max()
+    beyond = gibbs_local_check(d, ConditionDescriptor("point", 2, a),
+                               [2.0 * a + td.s])
+    assert beyond.ratio[0] == 0.0
+
+
 @pytest.mark.parametrize("make", [
     lambda: weibull(1.5), lambda: weibull(2.5), lambda: weibull(4.0),
     double_exp], ids=["weibull1.5", "weibull2.5", "weibull4", "double_exp"])

@@ -1,6 +1,7 @@
 """Density model: normalizers against brute-force quadrature, h/psi identities,
 class diagnostics."""
 
+import decimal
 import math
 import warnings
 
@@ -116,6 +117,56 @@ def test_scalar_path_is_bit_identical(make):
             got = np.array([scalar(x) for x in xs])
             want = np.array([float(array(x)) for x in xs])
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _excess_reference(term, x0, delta):
+    """g(x0 + delta) - g(x0) - g'(x0) delta of one term in 60 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        D = decimal.Decimal
+        x0, x, c = D(x0), D(x0) + D(delta), D(term.coef)
+        if isinstance(term, PowerTerm):
+            p = D(term.exponent)
+            g = lambda v: c * (p * v.ln()).exp()
+            slope = c * p * ((p - 1) * x0.ln()).exp()
+        elif isinstance(term, LogTerm):
+            g = lambda v: c * v.ln()
+            slope = c / x0
+        else:
+            r = D(term.rate)
+            g = lambda v: c * (r * v).exp()
+            slope = c * r * (r * x0).exp()
+        return float(g(x) - g(x0) - slope * D(delta))
+
+
+@pytest.mark.parametrize("term", [
+    PowerTerm(1.0, 2.5), PowerTerm(0.7, 1.5), PowerTerm(1.0, 4.0),
+    LogTerm(-1.5), LogTerm(0.5), ExpTerm(math.exp(-1.0), 1.0),
+    ExpTerm(0.2, 0.5)], ids=repr)
+def test_excess_against_sixty_digits(term):
+    # the series (|u| < 1e-2) and the expm1/log1p form on both sides of the
+    # switch, down to u = 1e-9 where forming g(x0 + delta) - g(x0) keeps no
+    # digit, and out to u = -0.999 and 30; just past the switch the expm1
+    # form keeps about 2 eps / ((p - 1) u), 9e-14 for p = 1.5
+    u = np.array([-0.999, -0.5, -0.0100001, -0.0099999, -1e-5, -1e-9, 1e-9,
+                  1e-5, 0.0099999, 0.0100001, 0.3, 30.0])
+    for x0 in (0.8, 7.0, 2.5e6):
+        if isinstance(term, ExpTerm) and x0 > 100.0:
+            continue
+        delta = u * x0
+        got = term.excess(x0, delta)
+        want = np.array([_excess_reference(term, x0, float(v))
+                         for v in delta])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_excess_sums_the_catalog():
+    d = weibull(2.5)
+    delta = np.array([-0.5, 1e-6, 2.0])
+    want = sum(t.excess(1.3, delta) for t in d.terms)
+    np.testing.assert_array_equal(d.excess(1.3, delta), want)
+    # a log term meets -inf at x = 0, so the tilted exponent does too
+    assert d.excess(1.3, np.array([-1.3]))[0] == math.inf
 
 
 ALL_PICKS = "g g_prime g_second g_third log_pdf"

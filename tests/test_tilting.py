@@ -23,7 +23,8 @@ from exdev import (
     tilt_to_mean,
     weibull,
 )
-from exdev import tilting
+from exdev import double_exp, quadrature, tilting
+from exdev.densities import X_MIN_REGULAR
 from exdev.tilting import _solve_mean, density_mean
 
 from helpers import simpson_integral
@@ -86,6 +87,70 @@ def test_cumulants_double_exp_polygamma(dexp):
         assert c.mu3 == pytest.approx(polygamma(2, t), rel=1e-6)
     # at t = 2 the truncation is visible, the closed form must NOT match
     assert abs(cumulants(dexp, 2.0).m - (1.0 + digamma(2.0))) > 1e-2
+
+
+@pytest.mark.parametrize("t", [1e2, 1e4, 1e6, 1e8, 1e10])
+def test_cumulants_double_exp_polygamma_at_extreme_tilts(dexp, t):
+    # the truncation at y >= 1/e is below exp(-t) here; forming t x - g(x)
+    # left s2 off by 2.2e-6 and the skew by 1.3e-5 at t = 1e10
+    c = cumulants(dexp, t)
+    assert abs(c.s2 / polygamma(1, t) - 1.0) < 1e-12
+    assert abs(c.mu3 - polygamma(2, t)) / c.s2 ** 1.5 < 1e-12
+    assert c.m == pytest.approx(1.0 + digamma(t), rel=1e-14)
+
+
+@pytest.mark.parametrize("k", [2.5, 4.0])
+def test_cumulants_weibull_converge_at_extreme_tilts(k):
+    # s2 / psi' -> 1 and the skew -> 0 from below (a 50-digit quadrature
+    # of the centered exponent gives skew -1.2e-7 and -2.6e-9 for k = 2.5
+    # at t = 1e8 and 1e10); t x - g(x) read +3.1e-4 at t = 1e8 and raised
+    # at t = 1e10
+    rep = abelian_check(weibull(k), [1e4, 1e6, 1e8, 1e10])
+    dev = np.abs(rep.ratio_s2 - 1.0)
+    assert np.all(np.diff(dev) < 0.0)
+    assert dev[-1] < 1e-12
+    assert np.all(rep.skew < 0.0)
+    assert np.all(np.diff(np.abs(rep.skew)) < 0.0)
+    if k == 2.5:
+        assert rep.skew[2] == pytest.approx(-1.19e-7, rel=0.01)
+        assert rep.skew[3] == pytest.approx(-2.57e-9, rel=0.01)
+
+
+def test_log_rule_takes_only_the_windows_that_meet_zero(monkeypatch):
+    # the tilt-sweep grid: the x trapezoid takes every tilt except the first
+    # one of weibull(2), the first three of weibull(3) and the first two of
+    # double_exp, whose integrand is above exp(-40) of its peak near x = 0
+    calls = []
+    rule = quadrature._log_rule
+    monkeypatch.setattr(quadrature, "_log_rule",
+                        lambda *args: calls.append(args) or rule(*args))
+    grid = np.geomspace(10.0, 1e4, 25)
+    tilting._cumulants_cached.cache_clear()
+    for d in (weibull(2.0), weibull(3.0), double_exp()):
+        abelian_check(d, grid)
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("make", [lambda: weibull(2.0), lambda: weibull(3.0),
+                                  double_exp],
+                         ids=["weibull2", "weibull3", "double_exp"])
+def test_moment_rules_agree_where_the_x_rule_takes_over(make):
+    d = make()
+    h = d.g_prime_scalar
+    for t in np.geomspace(10.0, 1e4, 25):
+        centered = tilting._centered(d, float(t))
+        x_peak = quadrature.exponent_peak(h, t, X_MIN_REGULAR)
+        by_x = quadrature._x_rule(centered, x_peak)
+        if by_x is not None:
+            break
+    assert t > 10.0  # the grid's first tilt takes the log-x rule
+    x0 = quadrature.exponent_peak(lambda x: h(x) - 1.0 / x, t, X_MIN_REGULAR)
+    by_log = quadrature._log_rule(centered, x0)
+    s = math.sqrt(by_x.var)
+    assert abs(by_x.mean - by_log.mean) / s < 1e-11
+    assert abs(by_x.var / by_log.var - 1.0) < 1e-11
+    assert abs(by_x.mu3 - by_log.mu3) / s ** 3 < 1e-11
+    assert abs(by_x.log_z - by_log.log_z) < 1e-11
 
 
 def test_cumulants_match_log_mgf_derivatives(weibull25):
