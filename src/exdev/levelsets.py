@@ -1,12 +1,18 @@
 """Scalar-constraint tilting in product ambient spaces: laws of f(X) for a
-small catalog of f, the tilted law e^{t f(x)} p(x)/phi_f(t), a random-walk
-Metropolis sampler for it, and level-set / concentration experiments.
+small catalog of f, the tilted law e^{t f(x)} p(x)/phi_f(t), exact iid draws
+from it, and level-set / concentration experiments.
 
 Everything reduces to scalar machinery: for each supported (f, ambient)
 pairing the law of Z = f(X) is rebuilt as a one-dimensional light-tailed
 density (possibly iid-summed over coordinates), so the tilt parameter comes
 from the same m(t) = a inversion used on the line.  No multivariate cumulant
 work is done anywhere.
+
+Every catalog f is a sum c_j h(x_j) over the coordinates, so the f-tilted law
+is the product of the scalar laws of h(X_j) tilted at c_j t.  Draws come from
+the guide-table sampler of each factor and are mapped back through h (a
+square root for sumsq) with a fair sign on even marginals.  The random-walk
+Metropolis sampler `mh_sample` is kept as an independent cross-check.
 
 The signed square-root marginal is the even density |x| q(x^2) on R whose
 square has law q; with f(x) = sum x_j^2 this is the setting where the tilted
@@ -317,13 +323,15 @@ SIGN_FLIP_PROB = 0.2
 
 def mh_sample(law: FTiltedLaw, count: int, seed: int = 0, chains: int = 256,
               burn: int = 2000):
-    """Random-walk Metropolis draws from the f-tilted law.
+    """Random-walk Metropolis draws from the f-tilted law, the independent
+    cross-check of the exact sampler.
 
-    Step size adapts toward 0.234 acceptance during burn-in; every MH_THIN-th
-    state after it is kept.  For even product marginals a coordinate
-    sign-flip move is mixed in, which hops between the mirrored modes without
-    touching the radial profile.
-    Returns (points (count, dim), f_values, acceptance_rate).
+    Step size adapts toward 0.234 random-walk acceptance during burn-in;
+    every MH_THIN-th state after it is kept.  For even product marginals a
+    coordinate sign-flip move is mixed in, which hops between the mirrored
+    modes without touching the radial profile; flips are always accepted, so
+    they count neither in the adaptation nor in the returned rate.
+    Returns (points (count, dim), f_values, random-walk acceptance rate).
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
@@ -340,7 +348,8 @@ def mh_sample(law: FTiltedLaw, count: int, seed: int = 0, chains: int = 256,
     needed = max(1, math.ceil(count / chains))
     total = burn + needed * MH_THIN
     for step in range(total):
-        if even and rng.random() < SIGN_FLIP_PROB:
+        flip = even and rng.random() < SIGN_FLIP_PROB
+        if flip:
             j = int(rng.integers(d))
             prop = x.copy()
             prop[:, j] = -prop[:, j]
@@ -351,9 +360,10 @@ def mh_sample(law: FTiltedLaw, count: int, seed: int = 0, chains: int = 256,
         acc = logu < (lp_prop - lp)
         x[acc] = prop[acc]
         lp[acc] = lp_prop[acc]
-        accepted += int(acc.sum())
-        proposed += chains
-        if step < burn and (step + 1) % 50 == 0:
+        if not flip:
+            accepted += int(acc.sum())
+            proposed += chains
+        if step < burn and (step + 1) % 50 == 0 and proposed:
             rate = accepted / proposed
             scale *= math.exp(1.0 * (rate - 0.234))
             scale = min(max(scale, 1e-6), 1e3)
@@ -365,6 +375,28 @@ def mh_sample(law: FTiltedLaw, count: int, seed: int = 0, chains: int = 256,
     fv = law.f.fn(pts)
     rate = accepted / max(proposed, 1)
     return pts, fv, rate
+
+
+def _exact_sample(law: FTiltedLaw, count: int, rng: np.random.Generator):
+    """count iid draws from the f-tilted law as the product of its scalar
+    factors: h(X_j) ~ model.scalar tilted at c_j t, with h(x) = x^2 for
+    sumsq and x (or |x|) otherwise.  Returns (points (count, dim),
+    f_values)."""
+    from .tails import sampler_tilted  # call-time lookup, no module import
+    if count < 1:
+        raise DomainError(f"count must be >= 1, got {count}")
+    model = law.model
+    coefs = model.coefs
+    w = np.empty((count, coefs.size))
+    for c in np.unique(coefs):
+        cols = np.flatnonzero(coefs == c)
+        table = sampler_tilted(cumulants(model.scalar, float(c * law.t)))
+        w[:, cols] = table.sample(count * cols.size, rng).reshape(
+            count, cols.size)
+    pts = np.sqrt(w, out=w) if law.f.name == "sumsq" else w
+    if law.ambient.all_even:
+        pts[rng.random(pts.shape) < 0.5] *= -1.0
+    return pts, law.f.fn(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +415,13 @@ class LevelSetResult:
 def level_set_sampler(ambient, f, a: float, count: int, seed: int = 0,
                       window: Optional[DLPWindow] = None,
                       chains: int = 256) -> LevelSetResult:
-    """Stochastic level-set approximation: draws from the f-tilted law and
-    the fraction landing inside the localization window around a.
+    """Stochastic level-set approximation: exact iid draws from the f-tilted
+    law and the fraction landing inside the localization window around a.
 
     The default window comes from epsilon_schedule on the pushforward class
     (tail index = leading exponent of the reduced scalar law), with the
-    ambient dimension standing in for n.
+    ambient dimension standing in for n.  `chains` is unused (the rows are
+    iid, so there are no chains); it stays for callers that pass it.
     """
     law = f_tilted_density(ambient, f, a)
     if window is None and a > math.e:
@@ -397,14 +430,14 @@ def level_set_sampler(ambient, f, a: float, count: int, seed: int = 0,
             k_push = tag.beta + 1.0
             n_proxy = max(2, law.ambient.dim)
             window = epsilon_schedule(k_push, n_proxy, a)
-    pts, fv, rate = mh_sample(law, count, seed=seed, chains=chains)
+    pts, fv = _exact_sample(law, count, np.random.default_rng(seed))
     if window is not None:
         lo, hi = window.window
         hit = float(np.mean((fv > lo) & (fv < hi)))
     else:
         hit = float("nan")
     return LevelSetResult(points=pts, f_values=fv, hit_fraction=hit,
-                          window=window, t=law.t, acceptance=rate)
+                          window=window, t=law.t, acceptance=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -424,19 +457,20 @@ class SquareConcentrationReport:
 
 
 def square_concentration_check(base: LightTailDensity, a_list,
-                               count: int = 60000, seed: int = 0,
-                               chains: int = 256) -> SquareConcentrationReport:
+                               count: int = 60000,
+                               seed: int = 0) -> SquareConcentrationReport:
     """Tilt f(x) = x^2 on the signed-sqrt ambient of `base` at each level.
 
     |X| should pile up at sqrt(a) with spread ~ s_Y(t)/(2 sqrt(a)), and the
-    signs should stay balanced (the even sampler hops modes freely).
+    signs should stay balanced (each draw's sign is a fair coin).
     """
     a_arr = np.atleast_1d(np.asarray(a_list, dtype=float))
     ambient = product_ambient(signed_sqrt_marginal(base), 1)
     spreads, preds, balances, ts = [], [], [], []
     for i, a in enumerate(a_arr):
         law = f_tilted_density(ambient, "sumsq", float(a))
-        pts, fv, _ = mh_sample(law, count, seed=seed + 977 * i, chains=chains)
+        pts, _ = _exact_sample(law, count,
+                               np.random.default_rng(seed + 977 * i))
         dev = np.abs(pts[:, 0]) - math.sqrt(a)
         spreads.append(float(dev.std()))
         preds.append(math.sqrt(law.s2_f) / (2.0 * math.sqrt(a)))

@@ -222,10 +222,6 @@ def tilt_to_mean(d: LightTailDensity, a: float) -> TiltedDensity:
 # ---------------------------------------------------------------------------
 # asymptotic comparison reports
 
-# skew_monotone_decreasing counts skewness below this floor as ordered
-SKEW_FLOOR = 1e-8
-
-
 @dataclass(frozen=True)
 class AbelianReport:
     """Cumulants against the psi scale on a tilt grid.
@@ -273,7 +269,7 @@ class AbelianReport:
     @property
     def skew_monotone_decreasing(self) -> bool:
         a = np.abs(self.skew)
-        return bool(np.all((np.diff(a) < 0.0) | (a[1:] < SKEW_FLOOR)))
+        return bool(np.all(np.diff(a) < 0.0))
 
     def rows(self) -> list[dict]:
         cols = ("t", "m", "s2", "mu3", "psi", "psi_prime", "psi_second",

@@ -201,7 +201,7 @@ def test_unreachable_level_is_out_of_range(capsys):
     ["--f", "identity", "--marginal", "positive", "--a", "3"],
 ])
 def test_levelset_on_positive_marginal_runs(args, capsys):
-    # Metropolis proposals below 0 are rejected, not a DOMAIN error
+    # the exact draws stay on the positive support: no DOMAIN error
     code, out, err = run_cli(["levelset", "--density", "weibull", "--k", "3",
                               "--count", "4000", *args], capsys)
     assert code == 0, err

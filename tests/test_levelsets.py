@@ -1,10 +1,13 @@
 """Level-set tilting over product ambients: pushforward reductions against
-change-of-variable identities, MH sampler moments, concentration geometry."""
+change-of-variable identities, exact-sampler moments and support, the MH
+cross-check, concentration geometry."""
 
 import math
 
 import numpy as np
 import pytest
+
+from scipy.stats import ks_2samp
 
 from exdev import (
     DomainError,
@@ -20,7 +23,8 @@ from exdev import (
     square_concentration_check,
     weibull,
 )
-from exdev.levelsets import AmbientLaw, _power_law, pushforward_model
+from exdev.levelsets import (AmbientLaw, _exact_sample, _power_law,
+                             pushforward_model)
 
 
 # --- change-of-variable laws ------------------------------------------------------
@@ -124,6 +128,69 @@ def test_catalog_validation():
         f_catalog("linear", 2, coefs=(1.0, -1.0))
 
 
+# --- exact sampler -------------------------------------------------------------------
+
+# every catalog pairing: (id, base fixture, marginal kind, dim, f, coefs, a)
+PAIRINGS = [
+    ("identity", "weibull3", "positive", 1, "identity", None, 3.0),
+    ("sumsq-positive", "weibull3", "positive", 2, "sumsq", None, 5.0),
+    ("sumsq-signed", "weibull25", "signed_sqrt", 3, "sumsq", None, 8.0),
+    ("norm2-positive", "weibull2", "positive", 1, "norm2", None, 2.5),
+    ("norm2-signed", "weibull3", "signed_sqrt", 1, "norm2", None, 3.0),
+    ("linear-unequal", "weibull2", "positive", 3, "linear", (1.0, 2.0, 0.5),
+     6.0),
+]
+EXACT_COUNT = 20_000
+
+
+def _pairing_law(request, base, kind, dim, fname, coefs, a):
+    d = request.getfixturevalue(base)
+    marg = positive_marginal(d) if kind == "positive" \
+        else signed_sqrt_marginal(d)
+    return f_tilted_density(product_ambient(marg, dim),
+                            f_catalog(fname, dim, coefs=coefs), a)
+
+
+@pytest.mark.parametrize("pairing", PAIRINGS, ids=[p[0] for p in PAIRINGS])
+def test_exact_sample_moments_and_support(request, pairing):
+    _, base, kind, dim, fname, coefs, a = pairing
+    law = _pairing_law(request, base, kind, dim, fname, coefs, a)
+    pts, fv = _exact_sample(law, EXACT_COUNT, np.random.default_rng(31))
+    assert pts.shape == (EXACT_COUNT, dim)
+    assert fv.shape == (EXACT_COUNT,)
+    np.testing.assert_array_equal(fv, law.f.fn(pts))
+    s_f = math.sqrt(law.s2_f)
+    # iid rows: the plain standard error applies
+    assert abs(float(fv.mean()) - a) < 4.0 * s_f / math.sqrt(EXACT_COUNT)
+    assert float(fv.std()) == pytest.approx(s_f, rel=0.02)
+    if kind == "positive":
+        assert np.all(pts >= 0.0)
+    else:
+        assert abs(float(np.mean(pts > 0.0)) - 0.5) < 0.02
+
+
+@pytest.mark.parametrize("pairing", PAIRINGS, ids=[p[0] for p in PAIRINGS])
+def test_exact_sample_reruns_bit_identical(request, pairing):
+    _, base, kind, dim, fname, coefs, a = pairing
+    law = _pairing_law(request, base, kind, dim, fname, coefs, a)
+    r1 = level_set_sampler(law.ambient, law.f, a, 3000, seed=5)
+    r2 = level_set_sampler(law.ambient, law.f, a, 3000, seed=5)
+    np.testing.assert_array_equal(r1.points, r2.points)
+    np.testing.assert_array_equal(r1.f_values, r2.f_values)
+    assert r1.acceptance == 1.0
+
+
+@pytest.mark.parametrize("a", [5.0, 20.0])
+def test_exact_sample_matches_metropolis(weibull3, a):
+    # one retained state per chain after burn-in: the Metropolis draws are
+    # independent too, so the plain two-sample KS band holds
+    law = f_tilted_density(product_ambient(signed_sqrt_marginal(weibull3), 1),
+                           "sumsq", a)
+    _, fv = _exact_sample(law, EXACT_COUNT, np.random.default_rng(37))
+    _, fv_mh, _ = mh_sample(law, 4000, seed=38, chains=4000, burn=1000)
+    assert ks_2samp(fv, fv_mh).pvalue > 0.01
+
+
 # --- MH sampler -----------------------------------------------------------------------
 
 def test_mh_sample_hits_target_mean(weibull25):
@@ -143,6 +210,20 @@ def test_mh_sign_flips_balance_modes(weibull25):
     pts, _, _ = mh_sample(law, 20_000, seed=20, chains=128)
     frac_pos = float(np.mean(pts[:, 0] > 0.0))
     assert 0.44 < frac_pos < 0.56
+
+
+def test_mh_adapts_on_random_walk_moves_only(weibull25):
+    # sign flips are always accepted on an even marginal; counting them would
+    # push the random-walk acceptance far below target and its steps would
+    # shrink until successive retained states were strongly correlated
+    amb = product_ambient(signed_sqrt_marginal(weibull25), 2)
+    law = f_tilted_density(amb, "sumsq", 6.0)
+    _, fv, rate = mh_sample(law, 19_968, seed=21, chains=128)
+    assert 0.18 < rate < 0.3
+    x = fv.reshape(-1, 128)
+    x = x - x.mean(axis=0)
+    lag1 = float((x[1:] * x[:-1]).sum() / (x * x).sum())
+    assert lag1 < 0.55
 
 
 def test_mh_deterministic(weibull25):
@@ -171,8 +252,8 @@ def test_level_set_wide_window_hits_everything(weibull25):
 
 
 def test_positive_marginal_rejects_negative_proposals(weibull3):
-    # the random walk proposes x < 0 near the boundary; the Metropolis step
-    # must reject it (zero density), not raise
+    # the exact draws map tilted-table values in [0, inf) through the
+    # identity, so none can fall outside the support
     res = level_set_sampler(product_ambient(positive_marginal(weibull3), 1),
                             "identity", 3.0, 4000, seed=2)
     assert res.points.shape == (4000, 1)
@@ -191,7 +272,7 @@ def test_level_set_default_window(weibull25):
 
 def test_square_concentration_shrinks(weibull25):
     rep = square_concentration_check(weibull25, (5.0, 20.0), count=20_000,
-                                     seed=23, chains=128)
+                                     seed=23)
     assert rep.spread_decreasing
     np.testing.assert_allclose(rep.spread, rep.predicted, rtol=0.2)
     assert np.all(np.abs(rep.sign_balance - 0.5) < 0.08)
