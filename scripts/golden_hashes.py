@@ -62,11 +62,10 @@ RUNS = {
     "lvl": ["levelset", "--density", "weibull", "--k", "3", "--f", "linear",
             "--dim", "3", "--a", "8", "--count", "4000", "--seed", "2"],
     "cust": ["tilt", "--density", "custom", "--terms",
-             "power:1:1.5,log:-0.5,exp:0.2:0.5", "--class", "infinity",
-             "--t-count", "7"],
+             "power:1:1.5,log:-0.5,exp:0.2:0.5", "--t-count", "7"],
     "cgtv": ["gibbs-tv", "--density", "custom", "--terms",
-             "power:1:2.5,exp:0.1:0.5", "--class", "infinity", "--n-list", "8",
-             "--chains", "64", "--steps", "320", "--burn-in", "160"],
+             "power:1:2.5,exp:0.1:0.5", "--n-list", "8", "--chains", "64",
+             "--steps", "320", "--burn-in", "160"],
     "dexp": ["tail", "--density", "double-exp", "--n", "10", "--a", "5",
              "--is-samples", "100000", "--threads", "2"],
     "sqrt": ["levelset", "--density", "weibull", "--k", "3", "--f", "norm2",

@@ -7,9 +7,8 @@ Monte Carlo samplers.
 __version__ = "0.1.0"
 SCHEMA_VERSION = "1"
 
-from .densities import (ClassReport, ClassTag, ExpTerm, LightTailDensity,
-                        LogTerm, PowerTerm, PsiFunction, class_epsilon,
-                        density_from_terms, double_exp, psi, verify_class,
+from .densities import (ExpTerm, LightTailDensity, LogTerm, PowerTerm,
+                        PsiFunction, density_from_terms, double_exp, psi,
                         weibull)
 from .tilting import (AbelianReport, GrowthReport, TiltedDensity,
                       abelian_check, cumulants, growth_report, invert_m,
@@ -40,9 +39,8 @@ from .errors import (AsymptoticRangeWarning, BracketFail, ConfigMissing,
 __all__ = [
     "__version__", "SCHEMA_VERSION",
     # densities
-    "ClassReport", "ClassTag", "ExpTerm", "LightTailDensity", "LogTerm",
-    "PowerTerm", "PsiFunction", "class_epsilon", "density_from_terms",
-    "double_exp", "psi", "verify_class", "weibull",
+    "ExpTerm", "LightTailDensity", "LogTerm", "PowerTerm", "PsiFunction",
+    "density_from_terms", "double_exp", "psi", "weibull",
     # tilting
     "AbelianReport", "GrowthReport", "TiltedDensity", "abelian_check",
     "cumulants", "growth_report", "invert_m", "log_mgf",

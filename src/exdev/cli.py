@@ -311,7 +311,7 @@ class _Experiment(NamedTuple):
 
 
 # every experiment reads these; seed is in every report (schema v1)
-_COMMON_FLAGS = ("config", "out", "seed", "density", "k", "terms", "class")
+_COMMON_FLAGS = ("config", "out", "seed", "density", "k", "terms")
 
 _EXPERIMENTS: Dict[str, _Experiment] = {
     "tilt": _Experiment(

@@ -12,8 +12,8 @@ import math
 import os
 from typing import Dict, List, Optional, Sequence
 
-from .densities import (ClassTag, ExpTerm, LightTailDensity, LogTerm,
-                        PowerTerm, density_from_terms, double_exp, weibull)
+from .densities import (ExpTerm, LightTailDensity, LogTerm, PowerTerm,
+                        density_from_terms, double_exp, weibull)
 from .errors import ConfigMissing, ValidationError
 
 __all__ = [
@@ -133,31 +133,19 @@ def _parse_terms(spec: str) -> Sequence:
     return terms
 
 
-def _parse_class(spec: str) -> ClassTag:
-    bits = [b.strip() for b in spec.split(":")]
-    if bits[0] == "beta" and len(bits) == 2:
-        try:
-            return ClassTag("beta", float(bits[1]))
-        except ValueError:
-            raise ValidationError(f"bad class index {bits[1]!r}")
-    if bits[0] == "infinity" and len(bits) == 1:
-        return ClassTag("infinity")
-    raise ValidationError(f"bad class spec {spec!r} (beta:<index> | infinity)")
-
-
 def density_from_options(opts: Dict[str, str],
                          also_read: tuple = ()) -> LightTailDensity:
     """Build the density named by opts: weibull (needs k), double-exp, or
-    custom (needs terms and class).  Refuses a density option that neither
-    the density nor the caller (also_read) reads."""
+    custom (needs terms; its class is read off them).  Refuses a density
+    option that neither the density nor the caller (also_read) reads."""
     if "density" not in opts:
         raise ConfigMissing("missing required option 'density'")
     kind = opts["density"].strip().lower().replace("_", "-")
     reads = {"weibull": ("k",), "double-exp": (),
-             "custom": ("terms", "class")}.get(kind)
+             "custom": ("terms",)}.get(kind)
     if reads is None:
         raise ValidationError(f"unknown density {opts['density']!r}")
-    for key in ("k", "terms", "class"):
+    for key in ("k", "terms"):
         if key in opts and key not in reads + also_read:
             raise ValidationError(f"density {kind} does not read {key}")
     if kind == "weibull":
@@ -166,8 +154,4 @@ def density_from_options(opts: Dict[str, str],
         return double_exp()
     if "terms" not in opts:
         raise ConfigMissing("custom density needs 'terms'")
-    if "class" not in opts:
-        raise ConfigMissing("custom density needs 'class'")
-    return density_from_terms(_parse_terms(opts["terms"]),
-                              class_tag=_parse_class(opts["class"]),
-                              name="custom")
+    return density_from_terms(_parse_terms(opts["terms"]), name="custom")

@@ -2,12 +2,15 @@
 
 A density here is p(x) = c * exp(-(g(x) - q(x))) for x >= 0, with g smooth,
 superlinear (g(x)/x -> infinity) and eventually convex, and q a bounded
-perturbation (|q(v)| <= 1/sqrt(x*h(x)) for v near x, h = g').  Two regularity
-classes are supported and checked numerically:
+perturbation (|q(v)| <= 1/sqrt(x*h(x)) for v near x, h = g').  The paper's
+two regularity classes are read off the terms (`LightTailDensity.tail_index`):
 
-  * Beta(beta):  h(x) = x^beta * l(x) with l slowly varying;
-  * Infinity:    h grows faster than any power; the inverse psi = h^{-1} is
-                 slowly varying with index-0 representation.
+  * Beta(beta):  h(x) = x^beta * l(x) with l slowly varying; with no exp
+                 term, beta + 1 is the largest power exponent of g;
+  * Infinity:    h grows faster than any power (an exp term); the inverse
+                 psi = h^{-1} is slowly varying.
+
+Neither the class conditions nor the bound on q are checked.
 
 Construction is factory-based: the normalizer c is always computed by
 peak-centered quadrature, never taken on trust, so closed-form cases double
@@ -43,10 +46,8 @@ from .errors import (
 )
 
 __all__ = [
-    "ClassTag", "GTerm", "PowerTerm", "LogTerm", "ExpTerm",
-    "LightTailDensity", "PsiFunction", "ClassCheck", "ClassReport",
-    "density_from_terms", "weibull", "double_exp",
-    "psi", "verify_class", "class_epsilon",
+    "GTerm", "PowerTerm", "LogTerm", "ExpTerm", "LightTailDensity",
+    "PsiFunction", "density_from_terms", "weibull", "double_exp", "psi",
 ]
 
 # left end of the regular region: psi is defined on h(x) >= h(X_MIN_REGULAR)
@@ -59,23 +60,6 @@ PSI_REL_TOL = 1e-10
 # 1e-16 of its leading one
 SERIES_BELOW = 1e-2
 SERIES_ORDER = 10
-
-
-@dataclass(frozen=True)
-class ClassTag:
-    """Declared regularity class: kind 'beta' with an index, or 'infinity'."""
-
-    kind: str
-    beta: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("beta", "infinity"):
-            raise ValidationError(f"unknown class kind {self.kind!r}")
-        if self.kind == "beta":
-            if self.beta is None:
-                raise ValidationError("beta class requires an index")
-            if self.beta < 0.0:
-                raise ValidationError("beta class index must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +236,11 @@ class LightTailDensity:
     g is the sum of the term catalog `terms`; g and its first three
     derivatives are vectorized on x > 0, and g_scalar / g_prime_scalar are
     the same g and g' on one float.  log_c is the quadrature-computed
-    log normalizer.  q, when present, is the bounded perturbation (checked by
-    verify_class, not enforced here).
+    log normalizer.  q, when present, is the bounded perturbation (its bound
+    is not checked).
     """
 
     terms: tuple[GTerm, ...]
-    class_tag: ClassTag
     log_c: float
     q: Optional[Callable] = None
     psi_seed: Optional[Callable] = None
@@ -286,6 +269,15 @@ class LightTailDensity:
             for t in self.terms[1:]:
                 out = out + t.excess(x0, delta)
         return out
+
+    @property
+    def tail_index(self) -> Optional[float]:
+        """k with h(x) = x^(k-1) l(x), l slowly varying (class Beta(k - 1)):
+        the largest power exponent of g.  None when an exp term makes h
+        rapidly varying (class Infinity)."""
+        if any(isinstance(t, ExpTerm) for t in self.terms):
+            return None
+        return max(t.exponent for t in self.terms if isinstance(t, PowerTerm))
 
     @cached_property
     def g_scalar(self) -> Callable[[float], float]:
@@ -320,11 +312,11 @@ class LightTailDensity:
         return out
 
     def __repr__(self) -> str:  # keep reprs short in test output
-        return f"LightTailDensity({self.name}, class={self.class_tag.kind})"
+        return f"LightTailDensity({self.name})"
 
 
-def density_from_terms(terms: Sequence[GTerm], *, class_tag: ClassTag,
-                       q=None, psi_seed=None, psi_closed=None,
+def density_from_terms(terms: Sequence[GTerm], *, q=None, psi_seed=None,
+                       psi_closed=None,
                        name: str = "custom") -> LightTailDensity:
     """Density with g = sum of terms, its normalizer computed by quadrature."""
     terms = tuple(terms)
@@ -343,16 +335,17 @@ def density_from_terms(terms: Sequence[GTerm], *, class_tag: ClassTag,
     peak = quadrature.exponent_peak(_scalar_sum(terms, "d1"), 0.0,
                                     X_MIN_REGULAR)
     log_mass = quadrature.log_integral(L, peak)
-    return LightTailDensity(
-        terms=terms, class_tag=class_tag, log_c=-log_mass, q=q,
-        psi_seed=psi_seed, psi_closed=psi_closed, name=name)
+    return LightTailDensity(terms=terms, log_c=-log_mass, q=q,
+                            psi_seed=psi_seed, psi_closed=psi_closed,
+                            name=name)
 
 
 def weibull(k: float, q=None) -> LightTailDensity:
     """p(x) = k x^(k-1) exp(-x^k): exponent g(x) = x^k - (k-1) log x.
 
     h(x) = k x^(k-1) - (k-1)/x is increasing on (0, inf) for k > 1, so the
-    tilt equation h(x) = t has a root for every real t.  Class Beta(k-1).
+    tilt equation h(x) = t has a root for every real t.  Its tail index is
+    k: class Beta(k-1).
     """
     if not k > 1.0:
         raise ValidationError("weibull shape must exceed 1")
@@ -363,8 +356,7 @@ def weibull(k: float, q=None) -> LightTailDensity:
         return (max(u, 1e-300) / k) ** (1.0 / km1)
 
     return density_from_terms(
-        terms, class_tag=ClassTag("beta", beta=km1), q=q,
-        psi_seed=seed, name=f"weibull_k{k:g}")
+        terms, q=q, psi_seed=seed, name=f"weibull_k{k:g}")
 
 
 def double_exp(q=None) -> LightTailDensity:
@@ -378,8 +370,7 @@ def double_exp(q=None) -> LightTailDensity:
         return 1.0 + np.log(u)
 
     return density_from_terms(
-        terms, class_tag=ClassTag("infinity"), q=q,
-        psi_closed=closed, name="double_exp")
+        terms, q=q, psi_closed=closed, name="double_exp")
 
 
 # ---------------------------------------------------------------------------
@@ -450,156 +441,3 @@ class PsiFunction:
         h1 = np.asarray(d.g_second(x), dtype=float)
         h2 = np.asarray(d.g_third(x), dtype=float)
         return x, (1.0 / h1)[()], (-h2 / h1 ** 3)[()]
-
-
-# ---------------------------------------------------------------------------
-# numerical class verification
-
-
-@dataclass(frozen=True)
-class ClassCheck:
-    name: str
-    passed: bool
-    detail: dict
-
-
-@dataclass(frozen=True)
-class ClassReport:
-    density: str
-    kind: str
-    checks: tuple[ClassCheck, ...]
-
-    @property
-    def flagged_violations(self) -> int:
-        return sum(1 for c in self.checks if not c.passed)
-
-    @property
-    def passed(self) -> bool:
-        return self.flagged_violations == 0
-
-
-def class_epsilon(d: LightTailDensity, x):
-    """Slow-variation rate of the class representation.
-
-    Beta class: the index of l(x) = h(x) x^{-beta}, i.e.
-    eps(x) = x l'(x)/l(x) = x h'(x)/h(x) - beta (analytic, no differencing).
-    Infinity class: the index of l = psi, eps(u) = u psi'(u)/psi(u).
-    """
-    x = np.asarray(x, dtype=float)
-    tag = d.class_tag
-    if tag.kind == "beta":
-        out = x * np.asarray(d.g_second(x), dtype=float) \
-            / np.asarray(d.g_prime(x), dtype=float) - tag.beta
-        return out[()] if out.ndim == 0 else out
-    pf = PsiFunction(d)
-    out = x * np.asarray(pf.prime(x), dtype=float) / np.asarray(pf(x), dtype=float)
-    return out[()] if out.ndim == 0 else out
-
-
-def _fd(f, x, rel_step: float):
-    hstep = np.maximum(np.abs(x) * rel_step, 1e-12)
-    return (f(x + hstep) - f(x - hstep)) / (2.0 * hstep)
-
-
-def _fd2(f, x, rel_step: float):
-    hstep = np.maximum(np.abs(x) * rel_step, 1e-12)
-    return (f(x + hstep) - 2.0 * f(x) + f(x - hstep)) / hstep ** 2
-
-
-# verify_class settings: the perturbation neighbourhood |v/x - 1| <= THETA,
-# the relative step of the eps differences, the bound on x eps' and x^2 eps'',
-# and the infinity-class floor x^ETA eps(x) > EPS_FLOOR
-THETA = 0.1
-FD_REL_STEP = 1e-5
-DERIV_BOUND = 100.0
-ETA = 0.1
-EPS_FLOOR = 0.01
-
-
-def verify_class(d: LightTailDensity, grid) -> ClassReport:
-    """Numerical proxies for the declared regularity class; report-only.
-
-    grid: increasing points inside the regular region.  For the beta class
-    these are x values; for the infinity class they are arguments of psi (so
-    they must sit above h(X_MIN_REGULAR)).  Violations are flagged in the
-    report, never raised.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 8:
-        raise ValidationError("class verification needs a 1-d grid of >= 8 points")
-    if np.any(np.diff(grid) <= 0):
-        raise ValidationError("grid must be strictly increasing")
-
-    checks: list[ClassCheck] = []
-
-    # g-based checks live in x space; for the infinity class the grid holds
-    # psi arguments, so map it back through psi first
-    if d.class_tag.kind == "beta":
-        x_grid = grid
-    else:
-        x_grid = np.asarray(psi(d, grid), dtype=float)
-
-    # superlinearity: g(x)/x eventually increasing (checked on the top half)
-    gx = np.asarray(d.g(x_grid), dtype=float)
-    ratio = gx / x_grid
-    top = ratio[x_grid.size // 2:]
-    super_ok = bool(np.all(np.diff(top) > 0))
-    checks.append(ClassCheck("superlinear_exponent", super_ok,
-                             {"ratio_first": float(ratio[0]),
-                              "ratio_last": float(ratio[-1])}))
-
-    # eventual convexity of g on the grid
-    conv = np.asarray(d.g_second(x_grid), dtype=float)
-    checks.append(ClassCheck("convex_exponent", bool(np.all(conv > 0)),
-                             {"min_g_second": float(conv.min())}))
-
-    eps = lambda x: np.asarray(class_epsilon(d, x), dtype=float)
-    e = eps(grid)
-    e1 = _fd(eps, grid, FD_REL_STEP)
-    e2 = _fd2(eps, grid, FD_REL_STEP)
-
-    if d.class_tag.kind == "beta":
-        v1 = np.abs(grid * e1)
-        v2 = np.abs(grid ** 2 * e2)
-        checks.append(ClassCheck(
-            "slow_variation_eps_to_zero",
-            bool(abs(e[-1]) <= abs(e[0]) + 1e-12 and abs(e[-1]) < 0.5),
-            {"eps_first": float(e[0]), "eps_last": float(e[-1])}))
-        checks.append(ClassCheck(
-            "x_eps_prime_bounded", bool(np.all(np.isfinite(v1)) and v1.max() <= DERIV_BOUND),
-            {"max_x_eps_prime": float(v1.max())}))
-        checks.append(ClassCheck(
-            "x2_eps_second_bounded", bool(np.all(np.isfinite(v2)) and v2.max() <= DERIV_BOUND),
-            {"max_x2_eps_second": float(v2.max())}))
-    else:
-        pf = PsiFunction(d)
-        l_vals = np.asarray(pf(grid), dtype=float)
-        checks.append(ClassCheck(
-            "psi_to_infinity", bool(l_vals[-1] > l_vals[0] and l_vals[-1] > 1.0),
-            {"psi_first": float(l_vals[0]), "psi_last": float(l_vals[-1])}))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r1 = grid * e1 / e
-            r2 = grid ** 2 * e2 / e
-        checks.append(ClassCheck(
-            "index_ratio1_to_zero",
-            bool(abs(r1[-1]) <= abs(r1[0]) + 1e-12 and abs(r1[-1]) < 0.5),
-            {"first": float(r1[0]), "last": float(r1[-1])}))
-        checks.append(ClassCheck(
-            "index_ratio2_to_zero",
-            bool(abs(r2[-1]) <= abs(r2[0]) + 1e-12 and abs(r2[-1]) < 0.5),
-            {"first": float(r2[0]), "last": float(r2[-1])}))
-        floor_vals = grid ** ETA * e
-        checks.append(ClassCheck(
-            "eps_power_lower_bound", bool(floor_vals.min() > EPS_FLOOR),
-            {"min": float(floor_vals.min()), "eta": ETA}))
-
-    if d.q is not None:
-        worst = 0.0
-        for x in x_grid:
-            bound = 1.0 / math.sqrt(x * d.g_prime_scalar(x))
-            for v in np.linspace(x * (1.0 - THETA) + 1e-12, x * (1.0 + THETA), 7):
-                worst = max(worst, abs(float(d.q(v))) / bound)
-        checks.append(ClassCheck("perturbation_bound", worst <= 1.0 + 1e-9,
-                                 {"worst_ratio": worst, "theta": THETA}))
-
-    return ClassReport(density=d.name, kind=d.class_tag.kind, checks=tuple(checks))

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .densities import (ClassTag, LightTailDensity, LogTerm, PowerTerm,
+from .densities import (LightTailDensity, LogTerm, PowerTerm,
                         density_from_terms)
 from .errors import DomainError, NotSolvable, PushforwardUnsolvable
 from .tilting import _solve_mean, cumulants, invert_m
@@ -175,9 +175,7 @@ def _power_law(base: LightTailDensity, r: float) -> LightTailDensity:
             f"law of Y^{r:g} is not light-tailed: leading exponent <= 1")
     if log_coef:
         terms.append(LogTerm(log_coef))
-    beta = max(t.exponent for t in terms if isinstance(t, PowerTerm)) - 1.0
-    return density_from_terms(terms, class_tag=ClassTag("beta", beta),
-                              name=f"pow{r:g}_of_{base.name}")
+    return density_from_terms(terms, name=f"pow{r:g}_of_{base.name}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,18 +416,17 @@ def level_set_sampler(ambient, f, a: float, count: int, seed: int = 0,
     """Stochastic level-set approximation: exact iid draws from the f-tilted
     law and the fraction landing inside the localization window around a.
 
-    The default window comes from epsilon_schedule on the pushforward class
-    (tail index = leading exponent of the reduced scalar law), with the
-    ambient dimension standing in for n.  `chains` is unused (the rows are
-    iid, so there are no chains); it stays for callers that pass it.
+    The default window comes from epsilon_schedule on the tail index of the
+    reduced scalar law (its largest power exponent), with the ambient
+    dimension standing in for n; a scalar law with an exp term (class
+    Infinity) has no tail index, so no default window, and hit_fraction is
+    NaN.  `chains` is unused (the rows are iid, so there are no chains); it
+    stays for callers that pass it.
     """
     law = f_tilted_density(ambient, f, a)
-    if window is None and a > math.e:
-        tag = law.model.scalar.class_tag
-        if tag is not None and tag.kind == "beta":
-            k_push = tag.beta + 1.0
-            n_proxy = max(2, law.ambient.dim)
-            window = epsilon_schedule(k_push, n_proxy, a)
+    k_push = law.model.scalar.tail_index
+    if window is None and a > math.e and k_push is not None:
+        window = epsilon_schedule(k_push, max(2, law.ambient.dim), a)
     pts, fv = _exact_sample(law, count, np.random.default_rng(seed))
     if window is not None:
         lo, hi = window.window

@@ -11,6 +11,7 @@ import jsonschema
 import pytest
 
 from exdev.cli import build_parser, main
+from exdev.conditional import epsilon_schedule
 from exdev.errors import ValidationError
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "src" / "exdev" / "schema" / "report-v1.json"
@@ -79,7 +80,7 @@ def test_flag_prefix_is_not_expanded(capsys):
     assert err.startswith("ERROR CONFIG_INVALID:")
 
 
-COMMON_FLAGS = {"config", "out", "seed", "density", "k", "terms", "class"}
+COMMON_FLAGS = {"config", "out", "seed", "density", "k", "terms"}
 READS = {
     "tilt": {"t-min", "t-max", "t-count"},
     "edgeworth": {"mean-target", "n-list"},
@@ -108,6 +109,20 @@ def test_each_experiment_takes_only_its_flags(experiment, tmp_path, capsys):
         assert err.startswith("ERROR CONFIG_INVALID:"), err
 
 
+@pytest.mark.parametrize("experiment", sorted(READS))
+def test_class_is_refused(experiment, tmp_path, capsys):
+    # the density class is read off the terms; no experiment takes one
+    code, _, err = run_cli([experiment, "--density", "weibull", "--k", "3",
+                            "--class", "infinity"], capsys)
+    assert code == 2
+    assert err.startswith("ERROR CONFIG_INVALID:"), err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("density = weibull\nk = 3\nclass = infinity\n")
+    code, _, err = run_cli([experiment, "--config", str(cfg)], capsys)
+    assert code == 2
+    assert err.startswith("ERROR CONFIG_INVALID:"), err
+
+
 @pytest.mark.parametrize("args, flag", [
     (["tilt", "--density", "double-exp", "--k", "3"], "k"),
     (["tilt", "--density", "weibull", "--k", "3", "--terms", "power:1:2"],
@@ -115,7 +130,7 @@ def test_each_experiment_takes_only_its_flags(experiment, tmp_path, capsys):
     (["tail", "--density", "weibull", "--k", "2", "--class", "infinity"],
      "class"),
     (["edgeworth", "--density", "custom", "--terms", "power:1:2.5",
-      "--class", "beta:1.5", "--k", "3"], "k"),
+      "--k", "3"], "k"),
     (["dlp", "--k", "2.5", "--terms", "power:1:2"], "terms"),
 ], ids=["double-exp-k", "weibull-terms", "weibull-class", "custom-k",
         "dlp-weibull-terms"])
@@ -208,6 +223,23 @@ def test_levelset_on_positive_marginal_runs(args, capsys):
     assert json.loads(out)["results"]["acceptance"] > 0.0
 
 
+def test_levelset_window_comes_from_the_terms(capsys):
+    # the default window's k is the largest power exponent; an exp term
+    # (class Infinity) leaves no window
+    args = ["levelset", "--density", "custom", "--f", "identity", "--a", "5",
+            "--count", "4000", "--seed", "2", "--terms"]
+    code, out, err = run_cli(args + ["power:1:2.5,log:-1.5"], capsys)
+    assert code == 0, err
+    results = json.loads(out)["results"]
+    assert results["epsilon_n"] == epsilon_schedule(2.5, 2, 5.0).epsilon_n
+    assert 0.0 < results["hit_fraction"] <= 1.0
+    code, out, err = run_cli(args + ["power:1:2.5,exp:0.1:0.5"], capsys)
+    assert code == 0, err
+    results = json.loads(out)["results"]
+    assert results["epsilon_n"] is None
+    assert results["hit_fraction"] == "nan"
+
+
 def test_levelset_level_below_mean_is_not_solvable(capsys):
     # same exit and tag as `tail --a 0.5`
     code, _, err = run_cli(["levelset", "--density", "weibull", "--k", "3",
@@ -266,9 +298,9 @@ def test_low_weight_ess_is_one_tagged_line(tmp_path):
 def test_gibbs_tv_refuses_non_convex_exponent(capsys):
     # g = x^3 - 1.5 x^2 has g'' < 0 on x < 1/2: no log-concave pair law
     code, _, err = run_cli(["gibbs-tv", "--density", "custom", "--terms",
-                            "power:1:3,power:-1.5:2", "--class", "beta:2",
-                            "--n-list", "4", "--chains", "8", "--steps", "16",
-                            "--burn-in", "8"], capsys)
+                            "power:1:3,power:-1.5:2", "--n-list", "4",
+                            "--chains", "8", "--steps", "16", "--burn-in",
+                            "8"], capsys)
     assert code == 2
     assert err.startswith("ERROR DOMAIN:")
 

@@ -13,7 +13,6 @@ from scipy.special import ndtr
 from scipy.stats import ks_2samp
 
 from exdev import (
-    ClassTag,
     ConditionDescriptor,
     ConditionalSample,
     DLPWindow,
@@ -136,8 +135,7 @@ def test_point_sampler_rejects_exceedance_descriptor(weibull2):
 
 @pytest.mark.parametrize("make", [
     lambda: weibull(2.0, q=lambda x: 0.3 * (1.0 + x) ** -0.25),
-    lambda: density_from_terms((PowerTerm(1.0, 3.0), PowerTerm(-1.5, 2.0)),
-                               class_tag=ClassTag("beta", beta=2.0)),
+    lambda: density_from_terms((PowerTerm(1.0, 3.0), PowerTerm(-1.5, 2.0))),
 ], ids=["perturbed", "nonconvex"])
 def test_point_sampler_refuses_non_log_concave_pair_law(make):
     # a perturbation q, or g'' < 0 somewhere (here on x < 1/2), can make the
@@ -228,11 +226,9 @@ PAIR_DENSITIES = {
     "weibull4": (lambda: weibull(4.0), (0.3, 2.0, 100.0)),
     "double_exp": (double_exp, (0.3, 2.0, 10.0)),
     "cgtv": (lambda: density_from_terms(
-        (PowerTerm(1.0, 2.5), ExpTerm(0.1, 0.5)),
-        class_tag=ClassTag("infinity")), (0.3, 2.0, 10.0)),
-    "flat": (lambda: density_from_terms(
-        (PowerTerm(1.0, 1.0),), class_tag=ClassTag("beta", beta=0.0)),
-        (0.3, 2.0, 30.0)),
+        (PowerTerm(1.0, 2.5), ExpTerm(0.1, 0.5))), (0.3, 2.0, 10.0)),
+    "flat": (lambda: density_from_terms((PowerTerm(1.0, 1.0),)),
+             (0.3, 2.0, 30.0)),
 }
 
 

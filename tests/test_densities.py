@@ -1,5 +1,5 @@
 """Density model: normalizers against brute-force quadrature, h/psi identities,
-class diagnostics."""
+the tail index read off the terms."""
 
 import decimal
 import math
@@ -13,7 +13,6 @@ from scipy.special import exp1
 
 import exdev
 from exdev import (
-    ClassTag,
     DomainError,
     ExpTerm,
     LogTerm,
@@ -22,10 +21,8 @@ from exdev import (
     PowerTerm,
     PsiFunction,
     ValidationError,
-    class_epsilon,
     density_from_terms,
     psi,
-    verify_class,
     weibull,
 )
 
@@ -59,7 +56,7 @@ def test_double_exp_normalizer_closed_form(dexp):
 
 def test_custom_terms_integrate_to_one():
     terms = (PowerTerm(0.5, 3.0), PowerTerm(1.0, 1.5), LogTerm(-0.5))
-    d = density_from_terms(terms, class_tag=ClassTag("beta", beta=2.0))
+    d = density_from_terms(terms)
     # substitute x = u^2 so the fractional power at the origin stays smooth
     mass = simpson_integral(lambda u: 2.0 * u * d.pdf(u ** 2), 0.0, np.sqrt(5.0))
     assert mass == pytest.approx(1.0, abs=1e-9)
@@ -105,8 +102,7 @@ def _scalar_points(count=40_000):
     lambda: exdev.double_exp(),
     # the golden run's custom list, power:1:1.5,log:-0.5,exp:0.2:0.5
     lambda: density_from_terms(
-        (PowerTerm(1.0, 1.5), LogTerm(-0.5), ExpTerm(0.2, 0.5)),
-        class_tag=ClassTag("infinity")),
+        (PowerTerm(1.0, 1.5), LogTerm(-0.5), ExpTerm(0.2, 0.5))),
 ], ids=["weibull2", "weibull2.5", "weibull3", "double_exp", "cust"])
 def test_scalar_path_is_bit_identical(make):
     d = make()
@@ -180,10 +176,9 @@ ALL_PICKS = "g g_prime g_second g_third log_pdf"
     (lambda: weibull(4.0), ALL_PICKS),
     # the golden runs' custom lists: cust, and cgtv with no log term
     (lambda: density_from_terms(
-        (PowerTerm(1.0, 1.5), LogTerm(-0.5), ExpTerm(0.2, 0.5)),
-        class_tag=ClassTag("infinity")), ALL_PICKS),
-    (lambda: density_from_terms((PowerTerm(1.0, 2.5), ExpTerm(0.1, 0.5)),
-                                class_tag=ClassTag("infinity")), ALL_PICKS),
+        (PowerTerm(1.0, 1.5), LogTerm(-0.5), ExpTerm(0.2, 0.5))), ALL_PICKS),
+    (lambda: density_from_terms((PowerTerm(1.0, 2.5), ExpTerm(0.1, 0.5))),
+     ALL_PICKS),
 ], ids=["weibull1.5", "weibull2.5", "weibull3", "weibull4", "cust", "cgtv"])
 def test_array_path_is_silent_at_zero(make, picks):
     # log 0, c / 0 and negative powers of 0 are infinities, not warnings
@@ -241,54 +236,36 @@ def test_exponent_peak_rejects_decreasing_h():
 
 def test_psi_root_past_the_overflow_of_h():
     # h = e^x doubles its bracket from 512 to 1024, where h overflows to inf
-    d = density_from_terms([ExpTerm(1.0, 1.0)], class_tag=ClassTag("infinity"))
+    d = density_from_terms([ExpTerm(1.0, 1.0)])
     with np.errstate(over="ignore"):
         assert psi(d, 1e250) == pytest.approx(250.0 * math.log(10.0),
                                               rel=1e-14)
 
 
-# --- class diagnostics -------------------------------------------------------
+# --- tail index ---------------------------------------------------------------
 
-def test_class_epsilon_weibull_closed_form(weibull3):
-    # h = k x^{k-1} - (k-1)/x, beta = k-1:
-    # eps(x) = x h'/h - beta = k(k-1)/(k x^k - (k-1))
-    k = 3.0
-    x = np.linspace(1.0, 30.0, 50)
-    expected = k * (k - 1.0) / (k * x ** k - (k - 1.0))
-    np.testing.assert_allclose(class_epsilon(weibull3, x), expected, rtol=1e-10)
+@pytest.mark.parametrize("k", [1.5, 2.5, 3.0, 4.0])
+def test_weibull_tail_index_is_k(k):
+    # class Beta(k - 1): h(x) = x^(k-1) l(x)
+    assert weibull(k).tail_index == k
 
 
-def test_class_epsilon_infinity_closed_form(dexp):
-    # psi = 1 + log u, so the slow-variation index is 1/(1 + log u)
-    u = np.geomspace(10.0, 1e6, 8)
-    eps = class_epsilon(dexp, u)
-    np.testing.assert_allclose(eps, 1.0 / (1.0 + np.log(u)), rtol=1e-7)
-    assert np.all(np.diff(np.abs(eps)) < 0.0)
+@pytest.mark.parametrize("make", [
+    lambda: exdev.double_exp(),
+    # the golden runs' custom lists, cust and cgtv
+    lambda: density_from_terms(
+        (PowerTerm(1.0, 1.5), LogTerm(-0.5), ExpTerm(0.2, 0.5))),
+    lambda: density_from_terms((PowerTerm(1.0, 2.5), ExpTerm(0.1, 0.5))),
+], ids=["double_exp", "cust", "cgtv"])
+def test_exp_term_has_no_tail_index(make):
+    # an exp term makes h rapidly varying: class Infinity
+    assert make().tail_index is None
 
 
-def test_verify_class_passes_builtins(weibull2, weibull3, dexp):
-    for d, grid in ((weibull2, np.geomspace(2.0, 200.0, 24)),
-                    (weibull3, np.geomspace(2.0, 200.0, 24)),
-                    (dexp, np.geomspace(5.0, 5e4, 24))):
-        report = verify_class(d, grid)
-        assert report.passed, [c.name for c in report.checks if not c.passed]
-
-
-def test_verify_class_flags_linear_exponent():
-    # g(x) = x is not superlinear; the class checks must flag it
-    d = density_from_terms((PowerTerm(1.0, 1.0),), class_tag=ClassTag("beta", beta=0.0))
-    report = verify_class(d, np.geomspace(2.0, 500.0, 24))
-    assert not report.passed
-    assert report.flagged_violations >= 1
-
-
-def test_verify_class_flags_oversized_perturbation():
-    # decays too slowly: the admissible envelope is 1/sqrt(x h(x)) ~ x^{-1}
-    d = weibull(2.0, q=lambda x: 0.3 * (1.0 + x) ** -0.25)
-    report = verify_class(d, np.geomspace(2.0, 200.0, 24))
-    assert not report.passed
-    bad = {c.name for c in report.checks if not c.passed}
-    assert "perturbation_bound" in bad
+def test_tail_index_is_the_largest_power_exponent():
+    d = density_from_terms((PowerTerm(1.0, 2.5), PowerTerm(0.5, 3.0),
+                            LogTerm(-0.5)))
+    assert d.tail_index == 3.0
 
 
 # --- validation ---------------------------------------------------------------
@@ -304,13 +281,6 @@ def test_log_pdf_rejects_negative_axis(weibull2):
         weibull2.log_pdf(np.array([0.5, -0.1]))
 
 
-def test_class_tag_validation():
-    with pytest.raises(ValidationError):
-        ClassTag("gamma")
-    with pytest.raises(ValidationError):
-        ClassTag("beta", beta=-1.0)
-
-
 def test_exp_term_requires_positive_rate():
     with pytest.raises(ValidationError):
         ExpTerm(1.0, -0.5)
@@ -318,7 +288,7 @@ def test_exp_term_requires_positive_rate():
 
 def test_empty_terms_rejected():
     with pytest.raises(ValidationError):
-        density_from_terms((), class_tag=ClassTag("infinity"))
+        density_from_terms(())
 
 
 def test_version_string():

@@ -1,5 +1,6 @@
 """Source hygiene: every module of the package uses each name it imports,
-and every UPPER_CASE constant it defines is read somewhere in the repo."""
+binds each name it exports, and every UPPER_CASE constant it defines is read
+somewhere in the repo."""
 
 import ast
 import re
@@ -124,3 +125,43 @@ def test_scan_finds_an_unread_constant(tmp_path):
     user.write_text("import mod\nmod.BLOCK = mod.STEP\n")
     assert unread_constants(src, names_read([src, user])) == [
         "mod.py:4 LEFT_OVER"]
+
+
+def _bound(tree: ast.Module) -> set:
+    """Names bound at module level: imports, defs, classes, assignments."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            names.add(node.name)
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def stale_exports(path: Path) -> list:
+    """Names in the module's __all__ that the module does not bind; each one
+    breaks `from module import *`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(_exported(tree) - _bound(tree))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_export_is_bound(path):
+    assert stale_exports(path) == []
+
+
+def test_scan_finds_a_stale_export(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("from os import sep\nimport math as m\nROWS = 4\n"
+                   "LIMIT: int = 8\ndef f():\n    import json\n    gone = 1\n"
+                   "class C:\n    pass\n"
+                   "__all__ = ['sep', 'm', 'ROWS', 'LIMIT', 'f', 'C', 'gone',"
+                   " 'math', 'json']\n")
+    # names bound only inside a function are not the module's
+    assert stale_exports(src) == ["gone", "json", "math"]

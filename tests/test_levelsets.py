@@ -64,6 +64,12 @@ def test_sqrt_law_rejects_exponential_terms(dexp):
         _power_law(dexp, 0.5)
 
 
+@pytest.mark.parametrize("r, k", [(2.0, 1.5), (0.5, 6.0)])
+def test_power_law_tail_index(weibull3, r, k):
+    # the leading exponent 3 of g becomes 3 / r
+    assert _power_law(weibull3, r).tail_index == k
+
+
 def test_power_law_round_trip(weibull3):
     # (Y^2)^(1/2) = Y: the terms come back exactly, so the law does too
     back = _power_law(_power_law(weibull3, 2.0), 0.5)
