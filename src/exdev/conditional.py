@@ -9,13 +9,13 @@ x_j fixed, and redraws x_i from the exact conditional density proportional to
 p(u) p(c - u) on (0, c) by one rejection step: the law is symmetric about
 c/2, and for convex g its reflection |u - c/2| is log-concave and
 decreasing, so a flat-then-tangent envelope bounds it at every level.  The
-sampler therefore takes densities with no perturbation q whose terms of g
-are all convex on (0, inf), at levels where l keeps its digits, and raises
-DomainError for any other.  All
-chains advance in lockstep (one shared pair schedule, independent heat-bath
-draws); only the chains whose proposal was rejected draw again.  The state is
-held coordinate-major, (n, chains), so a pair's two coordinates are
-contiguous rows; a retained state is copied out chain-major, (chains, n).
+sampler therefore takes densities whose terms of g are all convex on
+(0, inf), at levels where l keeps its digits, and raises DomainError for
+any other.  All chains advance in lockstep (one shared pair schedule,
+independent heat-bath draws); only the chains whose proposal was rejected
+draw again.  The state is held coordinate-major, (n, chains), so a pair's
+two coordinates are contiguous rows; a retained state is copied out
+chain-major, (chains, n).
 A step is a few dozen numpy calls on arrays of one value per chain, so its
 cost is per-call overhead, and `_heat_bath_draw` is written to make few
 calls.
@@ -50,7 +50,7 @@ from .edgeworth import convolve_oracle, z1_centered
 from .errors import (DomainError, InfeasibleStart, LowAcceptance,
                      LowESSWarning, MassTooSmall, ScheduleInfeasible,
                      TooFewSamples)
-from .quadrature import exponent_peak, log_integral
+from .quadrature import moments
 from .tilting import tilt_to_mean
 from .tails import ESS_FLOOR, sampler_tilted
 
@@ -235,10 +235,10 @@ def sample_point_conditional(d: LightTailDensity, cond: ConditionDescriptor,
     """
     if cond.kind != "point":
         raise DomainError("point sampler needs a point descriptor")
-    if d.q is not None or not all(_convex(t) for t in d.terms):
+    if not all(_convex(t) for t in d.terms):
         raise DomainError(
-            "the point sampler needs a log-concave pair law: no perturbation "
-            "q and every term of g convex on (0, inf)")
+            "the point sampler needs a log-concave pair law: every term of g "
+            "convex on (0, inf)")
     n, a = cond.n, cond.a_n
     if d.log_pdf(a) == -math.inf:
         raise InfeasibleStart("density vanishes at the starting level a_n")
@@ -575,17 +575,20 @@ def second_order_reference(d: LightTailDensity, n: int,
     td = tilt_to_mean(d, a_n)
     sigma2 = td.s2 * (n - 1)
     log_phi = td.log_phi
+    tilted = d.centered(td.t)
 
-    def L(y):
-        y = np.asarray(y, dtype=float)
-        return (td.t * y + d.exponent(y) + d.log_c - log_phi
-                - 0.5 * (y - a_n) ** 2 / sigma2
-                - 0.5 * math.log(2.0 * math.pi * sigma2))
+    def centered(x0: float):
+        # the tilted exponent plus the Gaussian's log, centered at x0
+        L0, E, curvature = tilted(x0)
+        slope = (x0 - a_n) / sigma2
+        L0 += (d.log_c - log_phi - 0.5 * (x0 - a_n) ** 2 / sigma2
+               - 0.5 * math.log(2.0 * math.pi * sigma2))
+        return (L0, lambda delta: E(delta) - slope * delta
+                - 0.5 * delta * delta / sigma2, curvature + 1.0 / sigma2)
 
     # L' = t - h(y) - (y - a_n)/sigma2 decreases; the peak sits near a_n
-    peak = exponent_peak(lambda y: d.g_prime_scalar(y) + (y - a_n) / sigma2,
-                         td.t, a_n)
-    log_z = log_integral(L, x_peak=peak)
+    log_z = moments(lambda y: d.g_prime_scalar(y) + (y - a_n) / sigma2,
+                    td.t, centered, a_n).log_z
     return SecondOrderReference(density=d, n=n, a_n=a_n, t=td.t,
                                 log_phi=log_phi, sigma2=sigma2, log_norm=log_z)
 

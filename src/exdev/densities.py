@@ -1,27 +1,28 @@
 """Light-tailed densities on the half line.
 
-A density here is p(x) = c * exp(-(g(x) - q(x))) for x >= 0, with g smooth,
-superlinear (g(x)/x -> infinity) and eventually convex, and q a bounded
-perturbation (|q(v)| <= 1/sqrt(x*h(x)) for v near x, h = g').  The paper's
-two regularity classes are read off the terms (`LightTailDensity.tail_index`):
+A density here is p(x) = c * exp(-g(x)) for x >= 0, with g smooth,
+superlinear (g(x)/x -> infinity) and eventually convex.  The paper's two
+regularity classes are read off the terms (`LightTailDensity.tail_index`):
 
   * Beta(beta):  h(x) = x^beta * l(x) with l slowly varying; with no exp
                  term, beta + 1 is the largest power exponent of g;
   * Infinity:    h grows faster than any power (an exp term); the inverse
                  psi = h^{-1} is slowly varying.
 
-Neither the class conditions nor the bound on q are checked.
+The class conditions are not checked; a term list whose g is not
+superlinear (no exp term, and the largest power exponent at most 1 or its
+summed coefficient not positive) is refused.
 
-Construction is factory-based: the normalizer c is always computed by
-peak-centered quadrature, never taken on trust, so closed-form cases double
-as accuracy anchors for tests.
+Construction is factory-based: the normalizer c is always computed, by the
+same centered trapezoid (`quadrature.moments`) that gives the tilted
+cumulants, never taken on trust, so closed-form cases double as accuracy
+anchors for tests.
 
 g and g' have two evaluation paths through the term catalog: the array path
 (`LightTailDensity.g`, `g_prime`) and the scalar path (`g_scalar`,
-`g_prime_scalar`) that the root-finding and normalizer quadrature
-callbacks run once per float.  The scalar path calls the same numpy ufuncs
-on each term, so its values equal the array path's bit for bit, x = 0 and
-exp overflow included.
+`g_prime_scalar`) that the root-finding callbacks run once per float.  The
+scalar path calls the same numpy ufuncs on each term, so its values equal
+the array path's bit for bit, x = 0 and exp overflow included.
 
 `LightTailDensity.excess(x0, delta)` is g(x0 + delta) - g(x0) - g'(x0) delta
 on an array of offsets, each term's share formed without cancellation, so
@@ -31,7 +32,7 @@ the tilted exponent about its peak keeps its digits however large t x is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -235,14 +236,12 @@ class LightTailDensity:
 
     g is the sum of the term catalog `terms`; g and its first three
     derivatives are vectorized on x > 0, and g_scalar / g_prime_scalar are
-    the same g and g' on one float.  log_c is the quadrature-computed
-    log normalizer.  q, when present, is the bounded perturbation (its bound
-    is not checked).
+    the same g and g' on one float.  log_c is the log normalizer, computed
+    by the moment trapezoid.
     """
 
     terms: tuple[GTerm, ...]
     log_c: float
-    q: Optional[Callable] = None
     psi_seed: Optional[Callable] = None
     psi_closed: Optional[Callable] = None
     name: str = "custom"
@@ -292,11 +291,20 @@ class LightTailDensity:
     h_prime = g_second
 
     def exponent(self, x):
-        """-(g(x) - q(x)), the log density without the normalizer."""
-        val = -self.g(x)
-        if self.q is not None:
-            val = val + self.q(x)
-        return val
+        """-g(x), the log density without the normalizer."""
+        return -self.g(x)
+
+    def centered(self, t: float):
+        """x0 -> (L(x0), E, g''(x0)) for L(x) = t x - g(x), with E(delta) =
+        L(x0 + delta) - L(x0) = (t - g'(x0)) delta - excess on float
+        arrays; quadrature.moments' `centered`."""
+        def centered(x0: float):
+            slope = t - self.g_prime_scalar(x0)
+            return (t * x0 - self.g_scalar(x0),
+                    lambda delta: slope * delta - self.excess(x0, delta),
+                    float(self.g_second(x0)))
+
+        return centered
 
     def log_pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -315,32 +323,32 @@ class LightTailDensity:
         return f"LightTailDensity({self.name})"
 
 
-def density_from_terms(terms: Sequence[GTerm], *, q=None, psi_seed=None,
+def density_from_terms(terms: Sequence[GTerm], *, psi_seed=None,
                        psi_closed=None,
                        name: str = "custom") -> LightTailDensity:
-    """Density with g = sum of terms, its normalizer computed by quadrature."""
+    """Density with g = sum of terms, its normalizer computed by the moment
+    trapezoid at t = 0.  Raises ValidationError unless g is superlinear: an
+    exp term, or a largest power exponent above 1 whose summed coefficient
+    is positive."""
     terms = tuple(terms)
     if not terms:
         raise ValidationError("empty exponent catalog")
-
-    g = _scalar_sum(terms, "value")
-
-    def q_scalar(x: float) -> float:
-        return float(q(x)) if q is not None else 0.0
-
-    def L(x: float) -> float:
-        v = -g(x) + q_scalar(x)
-        return v if math.isfinite(v) else -math.inf
-
-    peak = quadrature.exponent_peak(_scalar_sum(terms, "d1"), 0.0,
-                                    X_MIN_REGULAR)
-    log_mass = quadrature.log_integral(L, peak)
-    return LightTailDensity(terms=terms, log_c=-log_mass, q=q,
-                            psi_seed=psi_seed, psi_closed=psi_closed,
-                            name=name)
+    if not any(isinstance(t, ExpTerm) for t in terms):
+        powers = [t for t in terms if isinstance(t, PowerTerm)]
+        top = max((t.exponent for t in powers), default=0.0)
+        if not (top > 1.0 and sum(t.coef for t in powers
+                                  if t.exponent == top) > 0.0):
+            raise ValidationError(
+                "exponent g is not light-tailed: it needs an exp term or a "
+                "leading power term x^p with p > 1 and a positive coefficient")
+    d = LightTailDensity(terms=terms, log_c=0.0, psi_seed=psi_seed,
+                         psi_closed=psi_closed, name=name)
+    mom = quadrature.moments(d.g_prime_scalar, 0.0, d.centered(0.0),
+                             X_MIN_REGULAR)
+    return replace(d, log_c=-mom.log_z)
 
 
-def weibull(k: float, q=None) -> LightTailDensity:
+def weibull(k: float) -> LightTailDensity:
     """p(x) = k x^(k-1) exp(-x^k): exponent g(x) = x^k - (k-1) log x.
 
     h(x) = k x^(k-1) - (k-1)/x is increasing on (0, inf) for k > 1, so the
@@ -355,11 +363,10 @@ def weibull(k: float, q=None) -> LightTailDensity:
     def seed(u: float) -> float:
         return (max(u, 1e-300) / k) ** (1.0 / km1)
 
-    return density_from_terms(
-        terms, q=q, psi_seed=seed, name=f"weibull_k{k:g}")
+    return density_from_terms(terms, psi_seed=seed, name=f"weibull_k{k:g}")
 
 
-def double_exp(q=None) -> LightTailDensity:
+def double_exp() -> LightTailDensity:
     """p(x) = c exp(-e^(x-1)): g = h = e^(x-1), rapidly varying class.
 
     The inverse of h is exact: psi(u) = 1 + log u for u >= h(0) = e^{-1}.
@@ -369,8 +376,7 @@ def double_exp(q=None) -> LightTailDensity:
     def closed(u):
         return 1.0 + np.log(u)
 
-    return density_from_terms(
-        terms, q=q, psi_closed=closed, name="double_exp")
+    return density_from_terms(terms, psi_closed=closed, name="double_exp")
 
 
 # ---------------------------------------------------------------------------

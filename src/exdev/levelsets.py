@@ -157,9 +157,6 @@ def _power_law(base: LightTailDensity, r: float) -> LightTailDensity:
     and log coefficient of g is divided by r and the Jacobian adds
     (1 - 1/r) log z.
     """
-    if base.q is not None:
-        raise PushforwardUnsolvable(
-            f"law of Y^{r:g} needs an unperturbed power/log exponent")
     terms = []
     log_coef = 1.0 - 1.0 / r
     for t in base.terms:

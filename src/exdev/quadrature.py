@@ -12,12 +12,7 @@ depend on the size of L.  The trapezoid converges exponentially for smooth
 integrands with fast decay (Trefethen & Weideman 2014, SIAM Rev. 56:385),
 and the same nodes at step 2h give its error estimate.  Where the integrand
 has a kink or jump at x = 0 inside the window, the trapezoid runs in
-v = log x instead.
-
-`log_integral` (the normalizer of a density) cuts the window where the
-normalized integrand falls below exp(-DROP) and runs scipy's adaptive
-quadrature on it, with the peak registered as a breakpoint; its callback L
-is a scalar Python function called once per node.
+v = log x instead.  At t = 0 its mass is a density's normalizer.
 """
 
 from __future__ import annotations
@@ -27,14 +22,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .errors import Divergent, NonMonotone, NumericalError
 
 # exp(-690) is still representable; past ~745 it underflows to 0.
 DROP = 690.0
 BISECT_ITERS = 80
-EPSREL = 1e-11
 
 # the moment trapezoids: node step H in standard units (1/sqrt(-L'') at
 # the rule's center), the tolerance on the h-versus-2h difference, the
@@ -65,65 +58,6 @@ def bisect_drop(L: Callable[[float], float], x_in: float, x_out: float,
         else:
             x_out = mid
     return x_out
-
-
-def window(L: Callable[[float], float], x_peak: float) -> tuple[float, float]:
-    """[x_lo, x_hi] in [0, inf) outside of which exp(L - L(x_peak)) < exp(-DROP).
-
-    Raises Divergent when L keeps growing to the right of x_peak, which means
-    the supplied peak was not a maximum (e.g. a sub-linear exponent tilted too
-    hard).
-    """
-    M = L(x_peak)
-    if not math.isfinite(M):
-        raise NumericalError(f"integrand peak value is not finite at x={x_peak!r}")
-    target = M - DROP
-
-    if x_peak <= 0.0:
-        x_lo = 0.0
-    else:
-        v = L(0.0)
-        if math.isnan(v):
-            v = -math.inf
-        x_lo = 0.0 if v >= target else bisect_drop(L, x_peak, 0.0, target)
-
-    w = max(1e-6, 1e-3 * (1.0 + abs(x_peak)))
-    x = x_peak
-    for _ in range(200):
-        x_next = x_peak + w
-        v = L(x_next)
-        if v > M + 1e-9 * abs(M) + 1e-12 and w > 1e-3 * (1.0 + abs(x_peak)):
-            raise Divergent("integrand increases beyond the supplied peak")
-        if v < target:
-            x_hi = bisect_drop(L, x, x_next, target)
-            break
-        x = x_next
-        w *= 2.0
-        if x_peak + w > 1e15:
-            raise Divergent("integrand does not decay on the right")
-    else:  # pragma: no cover - loop always breaks or raises
-        raise Divergent("window expansion failed")
-    return x_lo, x_hi
-
-
-def _quad(f, a: float, b: float, pts, epsrel: float,
-          epsabs: float = 0.0) -> float:
-    inside = [p for p in pts if a < p < b]
-    val, _ = integrate.quad(f, a, b, points=inside or None,
-                            limit=300, epsabs=epsabs, epsrel=epsrel)
-    return val
-
-
-def log_integral(L: Callable[[float], float], x_peak: float) -> float:
-    """log of integral_0^inf exp(L(x)) dx."""
-    x_lo, x_hi = window(L, x_peak)
-    M = L(x_peak)
-    # relative accuracy beyond the rounding noise of L is unattainable
-    epsrel = max(EPSREL, 1e-14 + 2e-15 * abs(M))
-    val = _quad(lambda x: math.exp(L(x) - M), x_lo, x_hi, [x_peak], epsrel)
-    if not val > 0.0:
-        raise NumericalError("quadrature returned a non-positive mass")
-    return M + math.log(val)
 
 
 @dataclass(frozen=True)

@@ -193,7 +193,7 @@ def build_cdf_table(log_pdf: Callable, *, peak: float,
 
     x_lo = 0.0 if L(0.0) >= target else bisect_drop(L, peak, 0.0, target)
     # callers may pass the mean as the peak hint, so L can still rise just
-    # right of it: unlike quadrature.window, no divergence check here
+    # right of it: no divergence check here
     w = max(scale, 1e-8)
     x = peak
     for _ in range(200):

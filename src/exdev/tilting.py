@@ -6,7 +6,7 @@ the tilted density itself by quadrature.moments, never by finite-differencing
 log phi; finite differences exist only as cross-checks in the test suite.
 The tilted exponent enters as its centered form about x0: (t - g'(x0)) delta
 minus each term's excess g_i(x0 + delta) - g_i(x0) - g_i'(x0) delta
-(`LightTailDensity.excess`), so the cumulants keep their digits where t*x is
+(`LightTailDensity.centered`), so the cumulants keep their digits where t*x is
 huge.  For large t the comparison scale is the inverse function
 psi = h^{-1}: m ~ psi, s2 ~ psi', with the third-moment ratio recorded
 against the reference constant (M6-3)/2 as a diagnostic.
@@ -79,35 +79,12 @@ class TiltedDensity:
         return f"TiltedDensity({self.base.name}, t={self.t:.6g}, m={self.m:.6g})"
 
 
-def _centered(d: LightTailDensity, t: float):
-    """x0 -> (L(x0), E, g''(x0)) for L(x) = t x - g(x) + q(x), with E(delta)
-    = L(x0 + delta) - L(x0) = (t - g'(x0)) delta - excess + the change of q
-    on float arrays; quadrature.moments' `centered`."""
-    g, q = d.g_scalar, d.q
-
-    def centered(x0: float):
-        slope = t - d.g_prime_scalar(x0)
-        q0 = 0.0 if q is None else float(q(x0))
-
-        def E(delta: np.ndarray) -> np.ndarray:
-            out = slope * delta - d.excess(x0, delta)
-            if q is not None:
-                out = out + (np.asarray(q(x0 + delta), dtype=float) - q0)
-            return out
-
-        return t * x0 - g(x0) + q0, E, float(d.g_second(x0))
-
-    return centered
-
-
 @lru_cache(maxsize=65536)
 def _cumulants_cached(d: LightTailDensity, t: float) -> TiltedDensity:
-    mom = quadrature.moments(d.g_prime_scalar, t, _centered(d, t),
+    # d.log_c is minus this rule's log_z at t = 0, so log phi(0) is 0 exactly
+    mom = quadrature.moments(d.g_prime_scalar, t, d.centered(t),
                              X_MIN_REGULAR)
-    # phi(0) = 1 exactly; the rule's mass at t = 0 meets log_integral's
-    # normalizer only to rounding
-    log_phi = 0.0 if t == 0.0 else d.log_c + mom.log_z
-    return TiltedDensity(base=d, t=t, log_phi=log_phi,
+    return TiltedDensity(base=d, t=t, log_phi=d.log_c + mom.log_z,
                          m=mom.mean, s2=mom.var, mu3=mom.mu3)
 
 

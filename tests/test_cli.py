@@ -123,6 +123,20 @@ def test_class_is_refused(experiment, tmp_path, capsys):
     assert err.startswith("ERROR CONFIG_INVALID:"), err
 
 
+@pytest.mark.parametrize("terms", [
+    "power:1:1", "power:1:0.5", "log:-1", "power:-1:3,power:1:2"])
+def test_custom_terms_that_are_not_light_tailed_rejected(terms, tmp_path,
+                                                         capsys):
+    # g must be superlinear: an exp term, or a leading power x^p with p > 1
+    # and a positive coefficient
+    code, _, err = run_cli(["tilt", "--density", "custom", "--terms", terms,
+                            "--t-count", "3", "--out",
+                            str(tmp_path / "r")], capsys)
+    assert code == 2
+    assert err.startswith("ERROR CONFIG_INVALID:"), err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("args, flag", [
     (["tilt", "--density", "double-exp", "--k", "3"], "k"),
     (["tilt", "--density", "weibull", "--k", "3", "--terms", "power:1:2"],
@@ -306,12 +320,15 @@ def test_gibbs_tv_refuses_non_convex_exponent(capsys):
 
 
 def test_import_does_not_load_scipy_stats():
+    # nor scipy.integrate: no integral in the package runs through it
+    modules = ["scipy.stats", "scipy.integrate"]
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, exdev; print('scipy.stats' in sys.modules)"],
+         f"import sys, exdev; print([m for m in {modules!r} "
+         "if m in sys.modules])"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point():

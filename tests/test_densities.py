@@ -62,14 +62,6 @@ def test_custom_terms_integrate_to_one():
     assert mass == pytest.approx(1.0, abs=1e-9)
 
 
-def test_perturbed_density_normalized(weibull2):
-    q = lambda x: 0.2 * np.cos(x) / (1.0 + x)
-    d = weibull(2.0, q=q)
-    assert _mass(d, 8.0) == pytest.approx(1.0, abs=1e-9)
-    # q shifts the normalizer away from the clean value
-    assert abs(d.log_c - weibull2.log_c) > 1e-3
-
-
 # --- h / psi ----------------------------------------------------------------
 
 def test_h_matches_term_derivatives(weibull3):

@@ -51,14 +51,6 @@ def test_square_law_rejects_heavy_result(weibull2):
         _power_law(weibull2, 2.0)
 
 
-@pytest.mark.parametrize("r", [2.0, 0.5])
-def test_power_law_rejects_perturbed_base(r):
-    # term surgery sees g only; a perturbation q would be dropped silently
-    perturbed = weibull(3.0, q=lambda x: 0.01 * np.sin(x))
-    with pytest.raises(PushforwardUnsolvable):
-        _power_law(perturbed, r)
-
-
 def test_sqrt_law_rejects_exponential_terms(dexp):
     with pytest.raises(PushforwardUnsolvable):
         _power_law(dexp, 0.5)

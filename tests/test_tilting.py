@@ -11,10 +11,13 @@ from scipy.special import digamma, erf, polygamma
 
 from exdev import (
     DomainError,
+    LogTerm,
     NotSolvable,
     OutOfRange,
+    PowerTerm,
     abelian_check,
     cumulants,
+    density_from_terms,
     growth_report,
     invert_m,
     log_mgf,
@@ -25,6 +28,7 @@ from exdev import (
 )
 from exdev import double_exp, quadrature, tilting
 from exdev.densities import X_MIN_REGULAR
+from exdev.levelsets import _power_law
 from exdev.tilting import _solve_mean, density_mean
 
 from helpers import simpson_integral
@@ -33,8 +37,11 @@ from helpers import simpson_integral
 # --- log mgf -----------------------------------------------------------------
 
 def test_log_mgf_at_zero_is_zero(weibull2, dexp):
-    assert log_mgf(weibull2, 0.0) == pytest.approx(0.0, abs=1e-10)
-    assert log_mgf(dexp, 0.0) == pytest.approx(0.0, abs=1e-10)
+    # log_c is minus the moment rule's log mass at t = 0, so phi(0) = 1 exactly
+    custom = density_from_terms((PowerTerm(0.5, 3.0), PowerTerm(1.0, 1.5),
+                                 LogTerm(-0.5)))
+    for d in (weibull2, dexp, custom, _power_law(weibull(3.0), 2.0)):
+        assert log_mgf(d, 0.0) == 0.0
 
 
 def test_log_mgf_weibull2_closed_form(weibull2):
@@ -122,11 +129,13 @@ def test_log_rule_takes_only_the_windows_that_meet_zero(monkeypatch):
     # double_exp, whose integrand is above exp(-40) of its peak near x = 0
     calls = []
     rule = quadrature._log_rule
+    # built first: construction runs the rule at t = 0
+    densities = (weibull(2.0), weibull(3.0), double_exp())
     monkeypatch.setattr(quadrature, "_log_rule",
                         lambda *args: calls.append(args) or rule(*args))
     grid = np.geomspace(10.0, 1e4, 25)
     tilting._cumulants_cached.cache_clear()
-    for d in (weibull(2.0), weibull(3.0), double_exp()):
+    for d in densities:
         abelian_check(d, grid)
     assert len(calls) == 6
 
@@ -138,7 +147,7 @@ def test_moment_rules_agree_where_the_x_rule_takes_over(make):
     d = make()
     h = d.g_prime_scalar
     for t in np.geomspace(10.0, 1e4, 25):
-        centered = tilting._centered(d, float(t))
+        centered = d.centered(float(t))
         x_peak = quadrature.exponent_peak(h, t, X_MIN_REGULAR)
         by_x = quadrature._x_rule(centered, x_peak)
         if by_x is not None:
