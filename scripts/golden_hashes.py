@@ -26,8 +26,9 @@ them field by field:
 
 --compare prints, for each file that differs, every numeric field with the
 largest relative change over its values (0 when bit-identical), flags a
-changed non-numeric field, and names the files with no change; it exits 1
-when anything differs.  A CSV field is a column; a JSON field is a key path
+changed non-numeric field, names a file or field found in one directory
+only, and names the files with no change; it exits 1 when anything
+differs.  A CSV field is a column; a JSON field is a key path
 with list positions dropped, so `results.tv` covers every entry of the list.
 """
 
@@ -158,7 +159,11 @@ def compare(old_dir: Path, new_dir: Path) -> list:
         old, new = _fields(old_path), _fields(new_path)
         for field in sorted(old.keys() | new.keys()):
             a, b = old.get(field), new.get(field)
-            if a is None or b is None or len(a) != len(b):
+            if a is None or b is None:
+                where = old_dir if b is None else new_dir
+                lines.append(f"{name}: {field} only in {where}")
+                continue
+            if len(a) != len(b):
                 lines.append(f"{name}: {field} has a different shape")
                 continue
             pairs = [(_number(x), _number(y)) for x, y in zip(a, b)]

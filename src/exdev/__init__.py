@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 SCHEMA_VERSION = "1"
 
 from .densities import (ExpTerm, LightTailDensity, LogTerm, PowerTerm,
-                        PsiFunction, density_from_terms, double_exp, psi,
+                        density_from_terms, double_exp, psi, psi_derivatives,
                         weibull)
 from .tilting import (AbelianReport, GrowthReport, TiltedDensity,
                       abelian_check, cumulants, growth_report, invert_m,
@@ -39,8 +39,8 @@ from .errors import (AsymptoticRangeWarning, BracketFail, ConfigMissing,
 __all__ = [
     "__version__", "SCHEMA_VERSION",
     # densities
-    "ExpTerm", "LightTailDensity", "LogTerm", "PowerTerm", "PsiFunction",
-    "density_from_terms", "double_exp", "psi", "weibull",
+    "ExpTerm", "LightTailDensity", "LogTerm", "PowerTerm",
+    "density_from_terms", "double_exp", "psi", "psi_derivatives", "weibull",
     # tilting
     "AbelianReport", "GrowthReport", "TiltedDensity", "abelian_check",
     "cumulants", "growth_report", "invert_m", "log_mgf",

@@ -163,6 +163,11 @@ def _exp_tail(opts: Dict[str, str]) -> None:
     d = density_from_options(opts)
     n = as_int(opts, "n")
     a = as_float(opts, "a")
+    samples = as_int(opts, "is-samples")
+    if samples < 0:
+        raise ValidationError("is-samples must be >= 0 (0 skips the oracle)")
+    if samples == 0 and "threads" in opts:
+        raise ValidationError("threads is read only with is-samples > 0")
     est = tail_prob(d, n, a)
     results = {
         "density": d.name, "n": n, "a": a, "t": est.t, "s": est.s,
@@ -171,9 +176,6 @@ def _exp_tail(opts: Dict[str, str]) -> None:
     }
     rows = [[n, a, est.t, est.s, est.rate, est.log_prob, est.lambda_n]]
     header = ["n", "a", "t", "s", "rate", "log_prob", "lambda_n"]
-    samples = as_int(opts, "is-samples")
-    if samples < 0:
-        raise ValidationError("is-samples must be >= 0 (0 skips the oracle)")
     if samples > 0:
         oracle = tail_prob_is_oracle(d, n, a, samples=samples,
                                      seed=as_seed(opts),
@@ -281,8 +283,11 @@ def _exp_equiv(opts: Dict[str, str]) -> None:
     d = density_from_options(opts)
     n = as_int(opts, "n")
     if "a-n" in opts:
+        if "alpha" in opts:
+            raise ValidationError("alpha is read only without a-n")
         a = as_float(opts, "a-n")
     else:
+        opts.setdefault("alpha", "0.35")  # the default, echoed in the report
         a = float(n) ** as_float(opts, "alpha")
     count = as_int(opts, "count")
     td = tilt_to_mean(d, a)
@@ -335,7 +340,7 @@ _EXPERIMENTS: Dict[str, _Experiment] = {
         _exp_levelset, {"f": "sumsq", "dim": "1", "count": "20000"},
         ("f", "dim", "a", "count", "marginal")),
     "equiv": _Experiment(
-        _exp_equiv, {"n": "128", "alpha": "0.35", "count": "40000"},
+        _exp_equiv, {"n": "128", "count": "40000"},
         ("n", "a-n", "alpha", "count")),
 }
 

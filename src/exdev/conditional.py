@@ -101,7 +101,6 @@ class ConditionalSample:
     sample size while the chain stays the bootstrap unit.
     """
 
-    descriptor: Optional[ConditionDescriptor]
     coords: np.ndarray
     sums: np.ndarray
     weights: Optional[np.ndarray] = None
@@ -111,7 +110,6 @@ class ConditionalSample:
     acceptance: Optional[float] = None
     ess: float = 0.0
     residual: float = 0.0
-    seed: int = 0
     meta: dict = field(default_factory=dict)
 
     def tv_blocks(self):
@@ -128,15 +126,15 @@ class ConditionalSample:
         return blocks, w
 
     @classmethod
-    def from_values(cls, values, descriptor=None, weights=None, seed=0):
+    def from_values(cls, values, weights=None):
         """Wrap externally drawn values (e.g. iid reference draws) so they
         can ride through marginal_tv."""
         values = np.asarray(values, dtype=float).reshape(-1, 1)
         w = None if weights is None else np.asarray(weights, dtype=float)
         ess = float(values.shape[0]) if w is None else float(
             w.sum() ** 2 / (w ** 2).sum())
-        return cls(descriptor=descriptor, coords=values,
-                   sums=values[:, 0].copy(), weights=w, ess=ess, seed=seed)
+        return cls(coords=values, sums=values[:, 0].copy(), weights=w,
+                   ess=ess)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +288,8 @@ def sample_point_conditional(d: LightTailDensity, cond: ConditionDescriptor,
         pooled_arr = np.ascontiguousarray(
             stack.transpose(1, 0, 2).reshape(chains, -1))
     return ConditionalSample(
-        descriptor=cond, coords=coords_arr, sums=sums_arr,
-        pooled=pooled_arr, ess=float(coords_arr.shape[0]),
-        residual=residual, seed=seed,
+        coords=coords_arr, sums=sums_arr, pooled=pooled_arr,
+        ess=float(coords_arr.shape[0]), residual=residual,
         meta={"chains": chains, "steps": steps, "burn_in": burn_in,
               "stride": stride, "retained_states": len(coords)})
 
@@ -367,8 +364,8 @@ def sample_exceedance_conditional(d: LightTailDensity,
     w = np.exp(-td.t * (sums - level))
     ess = float(w.sum() ** 2 / (w ** 2).sum())
     return ConditionalSample(
-        descriptor=cond, coords=coords, sums=sums, weights=w, mins=mins,
-        maxs=maxs, acceptance=count / through_last, ess=ess, seed=seed,
+        coords=coords, sums=sums, weights=w, mins=mins, maxs=maxs,
+        acceptance=count / through_last, ess=ess,
         meta={"t": td.t, "proposals": proposed, "requested": count})
 
 

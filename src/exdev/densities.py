@@ -48,7 +48,7 @@ from .errors import (
 
 __all__ = [
     "GTerm", "PowerTerm", "LogTerm", "ExpTerm", "LightTailDensity",
-    "PsiFunction", "density_from_terms", "weibull", "double_exp", "psi",
+    "density_from_terms", "weibull", "double_exp", "psi", "psi_derivatives",
 ]
 
 # left end of the regular region: psi is defined on h(x) >= h(X_MIN_REGULAR)
@@ -242,8 +242,6 @@ class LightTailDensity:
 
     terms: tuple[GTerm, ...]
     log_c: float
-    psi_seed: Optional[Callable] = None
-    psi_closed: Optional[Callable] = None
     name: str = "custom"
 
     def g(self, x):
@@ -323,8 +321,7 @@ class LightTailDensity:
         return f"LightTailDensity({self.name})"
 
 
-def density_from_terms(terms: Sequence[GTerm], *, psi_seed=None,
-                       psi_closed=None,
+def density_from_terms(terms: Sequence[GTerm], *,
                        name: str = "custom") -> LightTailDensity:
     """Density with g = sum of terms, its normalizer computed by the moment
     trapezoid at t = 0.  Raises ValidationError unless g is superlinear: an
@@ -341,8 +338,7 @@ def density_from_terms(terms: Sequence[GTerm], *, psi_seed=None,
             raise ValidationError(
                 "exponent g is not light-tailed: it needs an exp term or a "
                 "leading power term x^p with p > 1 and a positive coefficient")
-    d = LightTailDensity(terms=terms, log_c=0.0, psi_seed=psi_seed,
-                         psi_closed=psi_closed, name=name)
+    d = LightTailDensity(terms=terms, log_c=0.0, name=name)
     mom = quadrature.moments(d.g_prime_scalar, 0.0, d.centered(0.0),
                              X_MIN_REGULAR)
     return replace(d, log_c=-mom.log_z)
@@ -357,26 +353,18 @@ def weibull(k: float) -> LightTailDensity:
     """
     if not k > 1.0:
         raise ValidationError("weibull shape must exceed 1")
-    km1 = k - 1.0
-    terms = (PowerTerm(1.0, k), LogTerm(-km1))
-
-    def seed(u: float) -> float:
-        return (max(u, 1e-300) / k) ** (1.0 / km1)
-
-    return density_from_terms(terms, psi_seed=seed, name=f"weibull_k{k:g}")
+    return density_from_terms((PowerTerm(1.0, k), LogTerm(1.0 - k)),
+                              name=f"weibull_k{k:g}")
 
 
 def double_exp() -> LightTailDensity:
     """p(x) = c exp(-e^(x-1)): g = h = e^(x-1), rapidly varying class.
 
-    The inverse of h is exact: psi(u) = 1 + log u for u >= h(0) = e^{-1}.
+    psi(u) = 1 + log u on the regular region u >= h(1) = 1, which the tests
+    use as an oracle for the solved psi.
     """
-    terms = (ExpTerm(math.exp(-1.0), 1.0),)
-
-    def closed(u):
-        return 1.0 + np.log(u)
-
-    return density_from_terms(terms, psi_closed=closed, name="double_exp")
+    return density_from_terms((ExpTerm(math.exp(-1.0), 1.0),),
+                              name="double_exp")
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +381,7 @@ def _psi_scalar(d: LightTailDensity, u: float) -> float:
             "regular region only")
     if u <= h_lo:
         return lo
-    probe = lo if d.psi_seed is None else max(float(d.psi_seed(u)), lo)
-    root = quadrature.exponent_peak(h, u, probe)
+    root = quadrature.exponent_peak(h, u, lo)
     if abs(h(root) - u) > PSI_REL_TOL * max(abs(u), 1.0):
         raise NonMonotone("psi root did not meet the residual tolerance")
     return root
@@ -403,47 +390,22 @@ def _psi_scalar(d: LightTailDensity, u: float) -> float:
 def psi(d: LightTailDensity, u):
     """Generalized inverse of h on the regular region: inf{x : h(x) >= u}.
 
-    Uses the closed form when the density carries one, otherwise solves
-    h(x) = u with quadrature.exponent_peak, probing from the density's
-    leading-order inverse.
+    Defined for u >= h(X_MIN_REGULAR), for every density (OutOfRange
+    below).  Solves h(x) = u with quadrature.exponent_peak probing from
+    X_MIN_REGULAR, the call quadrature.moments makes, so psi(t) is the peak
+    the tilted cumulants at t integrate around.
     """
     u_arr = np.asarray(u, dtype=float)
-    if d.psi_closed is not None:
-        h0 = d.g_prime_scalar(X_MIN_REGULAR * 1e-12)  # support edge value
-        if np.any(u_arr < h0):
-            raise OutOfRange("u below the range of h")
-        out = np.asarray(d.psi_closed(u_arr), dtype=float)
-        return out[()] if out.ndim == 0 else out
     out = np.empty(u_arr.shape, dtype=float)
     for idx, val in np.ndenumerate(u_arr):
         out[idx] = _psi_scalar(d, float(val))
     return out[()] if out.ndim == 0 else out
 
 
-@dataclass(frozen=True, eq=False)
-class PsiFunction:
-    """psi = h^{-1} with first and second derivatives.
-
-    psi'(u) = 1/h'(psi(u)); psi''(u) = -h''(psi(u))/h'(psi(u))^3.
-    `with_derivatives` returns all three from one solve of h(x) = u.
-    """
-
-    density: LightTailDensity
-
-    def __call__(self, u):
-        return psi(self.density, u)
-
-    def prime(self, u):
-        x = psi(self.density, u)
-        return 1.0 / np.asarray(self.density.g_second(x), dtype=float)[()]
-
-    def second(self, u):
-        return self.with_derivatives(u)[2]
-
-    def with_derivatives(self, u):
-        """(psi, psi', psi'') at u from one solve of h(x) = u."""
-        d = self.density
-        x = psi(d, u)
-        h1 = np.asarray(d.g_second(x), dtype=float)
-        h2 = np.asarray(d.g_third(x), dtype=float)
-        return x, (1.0 / h1)[()], (-h2 / h1 ** 3)[()]
+def psi_derivatives(d: LightTailDensity, u):
+    """(psi, psi', psi'') at u from one solve of h(x) = u:
+    psi'(u) = 1/h'(psi(u)) and psi''(u) = -h''(psi(u))/h'(psi(u))^3."""
+    x = psi(d, u)
+    h1 = np.asarray(d.g_second(x), dtype=float)
+    h2 = np.asarray(d.g_third(x), dtype=float)
+    return x, (1.0 / h1)[()], (-h2 / h1 ** 3)[()]

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature
-from .densities import X_MIN_REGULAR, LightTailDensity, PsiFunction
+from .densities import X_MIN_REGULAR, LightTailDensity, psi_derivatives
 from .errors import BracketFail, DomainError, NotSolvable, OutOfRange
 
 __all__ = [
@@ -262,13 +262,11 @@ def abelian_check(d: LightTailDensity, t_grid) -> AbelianReport:
         raise DomainError("t_grid must be a 1-d grid with >= 2 points")
     if np.any(np.diff(t_grid) <= 0) or t_grid[0] <= 0:
         raise DomainError("t_grid must be positive and strictly increasing")
-    pf = PsiFunction(d)
     cs = [cumulants(d, float(t)) for t in t_grid]
     m = np.array([c.m for c in cs])
     s2 = np.array([c.s2 for c in cs])
     mu3 = np.array([c.mu3 for c in cs])
-    psis = [pf.with_derivatives(t) for t in t_grid]
-    ps, p1, p2 = (np.array([float(v[k]) for v in psis]) for k in range(3))
+    ps, p1, p2 = psi_derivatives(d, t_grid)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio_mu3 = mu3 / (MU3_REFERENCE_CONST * p2)
     rep = AbelianReport(
@@ -315,7 +313,7 @@ def growth_report(d: LightTailDensity, n: int, a_n: float) -> GrowthReport:
     if n < 1:
         raise DomainError("n must be >= 1")
     c = invert_m(d, a_n)
-    ps, p1, _ = (float(v) for v in PsiFunction(d).with_derivatives(c.t))
+    ps, p1, _ = (float(v) for v in psi_derivatives(d, c.t))
     return GrowthReport(
         n=n, a_n=a_n, t=c.t,
         lemma_form=ps ** 2 / (math.sqrt(n) * p1),

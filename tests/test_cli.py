@@ -150,6 +150,10 @@ def test_custom_terms_that_are_not_light_tailed_rejected(terms, tmp_path,
         "dlp-weibull-terms"])
 def test_density_flag_the_density_does_not_read_rejected(args, flag,
                                                           tmp_path, capsys):
+    _assert_refused_as_flag_and_config_key(args, flag, tmp_path, capsys)
+
+
+def _assert_refused_as_flag_and_config_key(args, flag, tmp_path, capsys):
     out = tmp_path / "r"
     code, _, err = run_cli(args + ["--out", str(out)], capsys)
     assert code == 2
@@ -172,6 +176,27 @@ def test_dlp_reads_k_whatever_the_density(tmp_path, capsys):
                             "--out", str(tmp_path / "r")], capsys)
     assert code == 0, err
     assert json.loads((tmp_path / "r.json").read_text())["config"]["k"] == "3"
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["tail", "--density", "weibull", "--k", "2", "--n", "10", "--a", "3",
+      "--threads", "4"], "threads"),
+    (["equiv", "--density", "weibull", "--k", "2.5", "--n", "32", "--a-n",
+      "3.0", "--alpha", "0.9", "--count", "8000"], "alpha"),
+], ids=["tail-threads-without-is-samples", "equiv-alpha-with-a-n"])
+def test_input_that_does_nothing_rejected(args, flag, tmp_path, capsys):
+    # threads serve only the IS oracle, and a-n replaces n^alpha
+    _assert_refused_as_flag_and_config_key(args, flag, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("density", [["double-exp"], ["weibull", "--k", "2"]],
+                         ids=["double-exp", "weibull"])
+def test_tilt_below_the_regular_region_is_out_of_range(density, capsys):
+    # psi is defined on u >= h(X_MIN_REGULAR) for every density
+    code, _, err = run_cli(["tilt", "--density", *density, "--t-min", "0.5",
+                            "--t-max", "100", "--t-count", "5"], capsys)
+    assert code == 2
+    assert err.startswith("ERROR OUT_OF_RANGE:"), err
 
 
 def test_missing_config_file(capsys):

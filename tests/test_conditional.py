@@ -455,8 +455,7 @@ def test_tv_pooled_point_path(weibull25):
 def _gibbs_sample(values, chains):
     """A point-sampler-shaped sample: coords time-major, `chains` per state."""
     coords = np.asarray(values, dtype=float).reshape(-1, 1)
-    return ConditionalSample(descriptor=None, coords=coords,
-                             sums=coords[:, 0].copy(),
+    return ConditionalSample(coords=coords, sums=coords[:, 0].copy(),
                              meta={"chains": chains})
 
 

@@ -59,6 +59,19 @@ def test_compare_flags_text_and_missing_files(golden, tmp_path, capsys):
     ]
 
 
+def test_compare_names_a_field_on_one_side_only(golden, tmp_path, capsys):
+    old = _write(tmp_path / "old", "0.08", "weibull")
+    new = _write(tmp_path / "new", "0.08", "weibull")
+    (new / "edge.json").write_text(json.dumps({"results": {"x": 1.5},
+                                               "config": {"alpha": "0.35"}}))
+    assert golden.main(["--compare", str(old), str(new)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"edge.json: config.alpha only in {new}",
+        "edge.json: results.x max relative change 0",
+        "unchanged: gtv.csv gtv.json",
+    ]
+
+
 def test_compare_identical_dirs_exit_zero(golden, tmp_path, capsys):
     old = _write(tmp_path / "old", "0.08", "weibull")
     new = _write(tmp_path / "new", "0.08", "weibull")

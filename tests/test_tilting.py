@@ -22,6 +22,7 @@ from exdev import (
     invert_m,
     log_mgf,
     psi,
+    psi_derivatives,
     self_neglect_check,
     tilt_to_mean,
     weibull,
@@ -281,7 +282,7 @@ def test_abelian_report_tracks_psi(weibull3):
 
 def test_abelian_check_solves_psi_once_per_tilt(weibull3, monkeypatch):
     # psi, psi' and psi'' all come from one solve of h(x) = t
-    from exdev import PsiFunction, densities
+    from exdev import densities
     grid = np.geomspace(10.0, 1e3, 25)
     calls = []
     solve = densities._psi_scalar
@@ -293,10 +294,31 @@ def test_abelian_check_solves_psi_once_per_tilt(weibull3, monkeypatch):
     monkeypatch.setattr(densities, "_psi_scalar", counted)
     rep = abelian_check(weibull3, grid)
     assert calls == list(grid)
-    pf = PsiFunction(weibull3)
-    np.testing.assert_array_equal(rep.psi, [float(pf(t)) for t in grid])
-    np.testing.assert_array_equal(rep.psi_prime,
-                                  [float(pf.prime(t)) for t in grid])
+    ps, p1, _ = psi_derivatives(weibull3, grid)
+    np.testing.assert_array_equal(rep.psi, ps)
+    np.testing.assert_array_equal(rep.psi_prime, p1)
+
+
+@pytest.mark.parametrize("k", [2.0, 2.5, 3.0])
+def test_abelian_check_depends_on_the_terms_alone(k):
+    # psi carries no per-density solver state: the same terms give the same
+    # table bit for bit
+    grid = np.geomspace(10.0, 1e4, 25)
+    named = abelian_check(weibull(k), grid)
+    bare = abelian_check(density_from_terms(weibull(k).terms), grid)
+    for col, values in named.__dict__.items():
+        np.testing.assert_array_equal(getattr(bare, col), values, err_msg=col)
+
+
+@pytest.mark.parametrize("make", [lambda: weibull(2.0), lambda: weibull(3.0),
+                                  double_exp], ids=["weibull2", "weibull3",
+                                                    "double_exp"])
+def test_psi_is_the_tilt_peak(make):
+    # psi(t) is the peak the cumulants at t integrate around
+    d = make()
+    for t in np.geomspace(10.0, 1e4, 25):
+        assert psi(d, t) == quadrature.exponent_peak(d.g_prime_scalar, t,
+                                                     X_MIN_REGULAR)
 
 
 def test_self_neglect_shrinks_with_t(weibull2):
@@ -312,9 +334,7 @@ def test_self_neglect_rejects_small_t(weibull3):
 
 def test_growth_report_forms(weibull3):
     rep = growth_report(weibull3, 100, 5.0)
-    from exdev import PsiFunction
-    pf = PsiFunction(weibull3)
-    ps, p1 = float(pf(rep.t)), float(pf.prime(rep.t))
+    ps, p1, _ = psi_derivatives(weibull3, rep.t)
     assert rep.lemma_form == pytest.approx(ps ** 2 / (10.0 * p1), rel=1e-12)
     assert rep.printed_form == pytest.approx(ps ** 2 / math.sqrt(100.0 * p1), rel=1e-12)
     # the two forms differ unless psi' = 1
