@@ -576,16 +576,19 @@ def second_order_reference(d: LightTailDensity, n: int,
 
     def centered(x0: float):
         # the tilted exponent plus the Gaussian's log, centered at x0
-        L0, E, curvature = tilted(x0)
+        L0, E = tilted(x0)
         slope = (x0 - a_n) / sigma2
         L0 += (d.log_c - log_phi - 0.5 * (x0 - a_n) ** 2 / sigma2
                - 0.5 * math.log(2.0 * math.pi * sigma2))
-        return (L0, lambda delta: E(delta) - slope * delta
-                - 0.5 * delta * delta / sigma2, curvature + 1.0 / sigma2)
+        return L0, lambda delta: (E(delta) - slope * delta
+                                  - 0.5 * delta * delta / sigma2)
 
     # L' = t - h(y) - (y - a_n)/sigma2 decreases; the peak sits near a_n
-    log_z = moments(lambda y: d.g_prime_scalar(y) + (y - a_n) / sigma2,
-                    td.t, centered, a_n).log_z
+    def hd(y: float) -> tuple[float, float]:
+        h, h1 = d.h_pair(y)
+        return h + (y - a_n) / sigma2, h1 + 1.0 / sigma2
+
+    log_z = moments(hd, td.t, centered, a_n).log_z
     return SecondOrderReference(density=d, n=n, a_n=a_n, t=td.t,
                                 log_phi=log_phi, sigma2=sigma2, log_norm=log_z)
 

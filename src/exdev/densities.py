@@ -18,11 +18,12 @@ same centered trapezoid (`quadrature.moments`) that gives the tilted
 cumulants, never taken on trust, so closed-form cases double as accuracy
 anchors for tests.
 
-g and g' have two evaluation paths through the term catalog: the array path
-(`LightTailDensity.g`, `g_prime`) and the scalar path (`g_scalar`,
-`g_prime_scalar`) that the root-finding callbacks run once per float.  The
-scalar path calls the same numpy ufuncs on each term, so its values equal
-the array path's bit for bit, x = 0 and exp overflow included.
+g, g' and g'' have two evaluation paths through the term catalog: the array
+path (`LightTailDensity.g`, `g_prime`, `g_second`) and the scalar path
+(`g_scalar`, `g_prime_scalar` and the pair `h_pair` = (g', g'')) that the
+root solver's callbacks run once per float.  The scalar path calls the same
+numpy ufuncs on each term, so its values equal the array path's bit for
+bit, x = 0 and exp overflow included.
 
 `LightTailDensity.excess(x0, delta)` is g(x0 + delta) - g(x0) - g'(x0) delta
 on an array of offsets, each term's share formed without cancellation, so
@@ -61,6 +62,8 @@ PSI_REL_TOL = 1e-10
 # 1e-16 of its leading one
 SERIES_BELOW = 1e-2
 SERIES_ORDER = 10
+# GTerm.scalar's picks, in derivative order
+PICKS = ("value", "d1", "d2")
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +78,7 @@ class GTerm:
     def d3(self, x): raise NotImplementedError
 
     def scalar(self, pick: str) -> Callable[[float], float]:
-        """float -> float form of value ("value") or d1 ("d1")."""
+        """float -> float form of value ("value"), d1 ("d1") or d2 ("d2")."""
         raise NotImplementedError
 
     def excess(self, x0: float, delta: np.ndarray) -> np.ndarray:
@@ -120,10 +123,10 @@ class PowerTerm(GTerm):
         return self.coef * p * (p - 1.0) * (p - 2.0) * np.power(x, p - 3.0)
 
     def scalar(self, pick):
-        c, p = self.coef, self.exponent
-        if pick == "d1":
-            c, p = c * p, p - 1.0
-        return lambda x: c * float(np.power(x, p))
+        c, p, n = self.coef, self.exponent, PICKS.index(pick)
+        for k in range(n):
+            c = c * (p - k)
+        return lambda x: c * float(np.power(x, p - n))
 
     def excess(self, x0, delta):
         # x0^p ((1 + u)^p - 1 - p u), u = delta / x0; series coefficients
@@ -155,6 +158,9 @@ class LogTerm(GTerm):
         at_zero = lambda x: float(_sum_terms((self,), pick, x))
         if pick == "value":
             return lambda x: c * float(np.log(x)) if x != 0.0 else at_zero(x)
+        if pick == "d2":
+            # the array path's x ** 2 is np.square: x * x, which may be 0
+            return lambda x: -c / (x * x) if x * x != 0.0 else at_zero(x)
         return lambda x: c / x if x != 0.0 else at_zero(x)
 
     def excess(self, x0, delta):
@@ -181,9 +187,7 @@ class ExpTerm(GTerm):
     def d3(self, x): return self.coef * self.rate ** 3 * np.exp(self.rate * x)
 
     def scalar(self, pick):
-        c, r = self.coef, self.rate
-        if pick == "d1":
-            c = c * r
+        c, r = self.coef * self.rate ** PICKS.index(pick), self.rate
         return lambda x: c * float(np.exp(r * x))
 
     def excess(self, x0, delta):
@@ -235,9 +239,9 @@ class LightTailDensity:
     """Immutable density model; safe to share across threads.
 
     g is the sum of the term catalog `terms`; g and its first three
-    derivatives are vectorized on x > 0, and g_scalar / g_prime_scalar are
-    the same g and g' on one float.  log_c is the log normalizer, computed
-    by the moment trapezoid.
+    derivatives are vectorized on x > 0, and g_scalar / g_prime_scalar /
+    h_pair are the same g, g' and (g', g'') on one float.  log_c is the
+    log normalizer, computed by the moment trapezoid.
     """
 
     terms: tuple[GTerm, ...]
@@ -284,23 +288,24 @@ class LightTailDensity:
     def g_prime_scalar(self) -> Callable[[float], float]:
         return _scalar_sum(self.terms, "d1")
 
+    @cached_property
+    def h_pair(self) -> Callable[[float], tuple[float, float]]:
+        """x -> (g'(x), g''(x)) on one float, the root solver's callback."""
+        d1, d2 = self.g_prime_scalar, _scalar_sum(self.terms, "d2")
+        return lambda x: (d1(x), d2(x))
+
     # h is the name the tilting layer uses for the exponent slope: h := g'
     h = g_prime
     h_prime = g_second
 
-    def exponent(self, x):
-        """-g(x), the log density without the normalizer."""
-        return -self.g(x)
-
     def centered(self, t: float):
-        """x0 -> (L(x0), E, g''(x0)) for L(x) = t x - g(x), with E(delta) =
+        """x0 -> (L(x0), E) for L(x) = t x - g(x), with E(delta) =
         L(x0 + delta) - L(x0) = (t - g'(x0)) delta - excess on float
         arrays; quadrature.moments' `centered`."""
         def centered(x0: float):
             slope = t - self.g_prime_scalar(x0)
             return (t * x0 - self.g_scalar(x0),
-                    lambda delta: slope * delta - self.excess(x0, delta),
-                    float(self.g_second(x0)))
+                    lambda delta: slope * delta - self.excess(x0, delta))
 
         return centered
 
@@ -309,7 +314,7 @@ class LightTailDensity:
         if np.any(x < 0.0):
             raise DomainError("density is supported on x >= 0")
         with np.errstate(invalid="ignore"):
-            out = self.log_c + self.exponent(x)
+            out = self.log_c - self.g(x)
         out = np.where(np.isnan(out), -np.inf, out)
         return out[()] if out.ndim == 0 else out
 
@@ -339,7 +344,7 @@ def density_from_terms(terms: Sequence[GTerm], *,
                 "exponent g is not light-tailed: it needs an exp term or a "
                 "leading power term x^p with p > 1 and a positive coefficient")
     d = LightTailDensity(terms=terms, log_c=0.0, name=name)
-    mom = quadrature.moments(d.g_prime_scalar, 0.0, d.centered(0.0),
+    mom = quadrature.moments(d.h_pair, 0.0, d.centered(0.0),
                              X_MIN_REGULAR)
     return replace(d, log_c=-mom.log_z)
 
@@ -381,7 +386,7 @@ def _psi_scalar(d: LightTailDensity, u: float) -> float:
             "regular region only")
     if u <= h_lo:
         return lo
-    root = quadrature.exponent_peak(h, u, lo)
+    root = quadrature.exponent_peak(d.h_pair, u, lo)
     if abs(h(root) - u) > PSI_REL_TOL * max(abs(u), 1.0):
         raise NonMonotone("psi root did not meet the residual tolerance")
     return root

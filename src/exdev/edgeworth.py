@@ -149,9 +149,9 @@ def convolve_oracle(td: TiltedDensity, n: int,
         if not peak > 0.0:
             raise MassLeak("single-step density vanished on the window")
         # truncation shows up as visible density at the window edges; the
-        # support-edge kink also perturbs the trapezoid mass by O(dx^2),
-        # which is quadrature noise, not leakage, so only gross deviations
-        # trigger widening and the rest is renormalized at the end
+        # guard also widens when the trapezoid mass misses 1 by over 1e-4,
+        # as a jump or x^(1/2) kink at x = 0 does (an open ROADMAP fault,
+        # "The FFT table at every admitted level"); less is renormalized
         fringe = max(2, N // 512)
         edge_val = max(float(fbar[:fringe].max()), float(fbar[-fringe:].max()))
         mass = np.trapezoid(fbar, x_wide)

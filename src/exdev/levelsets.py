@@ -30,7 +30,8 @@ import numpy as np
 from .densities import (LightTailDensity, LogTerm, PowerTerm,
                         density_from_terms)
 from .errors import DomainError, NotSolvable, PushforwardUnsolvable
-from .tilting import _solve_mean, cumulants, invert_m
+from .quadrature import solve_increasing
+from .tilting import REL_TOL, T_CAP, cumulants, invert_m
 from .conditional import DLPWindow, epsilon_schedule
 
 __all__ = [
@@ -203,8 +204,10 @@ class PushforwardModel:
                 f"level {a!r} lies at or below the mean of f, {m0!r}")
         scale = float(self.coefs.sum())
         t0 = invert_m(self.scalar, a / scale).t / float(self.coefs.max())
-        return _solve_mean(lambda t: (self.m(t), self.s2(t)), a,
-                           max(t0, 1e-6), (m0, self.s2(0.0)))
+        return solve_increasing(lambda t: (self.m(t), self.s2(t)), a,
+                                max(t0, 1e-6), lo=0.0,
+                                at_lo=(m0, self.s2(0.0)), x_max=T_CAP,
+                                rtol=REL_TOL)
 
 
 def pushforward_model(ambient: AmbientLaw, f: FSpec) -> PushforwardModel:

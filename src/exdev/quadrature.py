@@ -13,17 +13,22 @@ integrands with fast decay (Trefethen & Weideman 2014, SIAM Rev. 56:385),
 and the same nodes at step 2h give its error estimate.  Where the integrand
 has a kink or jump at x = 0 inside the window, the trapezoid runs in
 v = log x instead.  At t = 0 its mass is a density's normalizer.
+
+`solve_increasing`, safeguarded Newton on an increasing f and its slope, is
+the package's one root solver: every tilt peak (`exponent_peak`, hence psi)
+and every tilt with m(t) = a (`tilting.invert_m`, the level-set tilt).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import Divergent, NonMonotone, NumericalError
+from .errors import BracketFail, Divergent, NonMonotone, NumericalError
 
 # exp(-690) is still representable; past ~745 it underflows to 0.
 DROP = 690.0
@@ -40,10 +45,15 @@ REACH = 40.0 * 2.0 ** np.arange(7)
 CLIP_DROP = 40.0
 # left end of exponent_peak's bracket: h is never evaluated at 0 itself
 PEAK_LO = 1e-12
+# solve_increasing: the Newton step budget, and the relative step (or
+# checked bracket width) at which an iterate counts as the root
+NEWTON_ITERS = 80
+STEP_TOL = 4.0 * sys.float_info.epsilon
 
-# x0 -> (L(x0), the centered exponent about x0, h'(x0)); see `moments`
-Centered = Callable[[float], tuple[float, Callable[[np.ndarray], np.ndarray],
-                                   float]]
+# x0 -> (L(x0), the centered exponent about x0); see `moments`
+Centered = Callable[[float], tuple[float, Callable[[np.ndarray], np.ndarray]]]
+# x -> (f(x), f'(x)) for an increasing f; see `solve_increasing`
+Increasing = Callable[[float], tuple[float, float]]
 
 
 def bisect_drop(L: Callable[[float], float], x_in: float, x_out: float,
@@ -70,38 +80,45 @@ class LogMoments:
     mu3: float
 
 
-def moments(h: Callable[[float], float], t: float, centered: Centered,
+def moments(hd: Increasing, t: float, centered: Centered,
             probe: float) -> LogMoments:
     """Mean, variance and third central moment of the density prop. to
-    exp(L) on [0, inf), where L' = t - h and h increases.
+    exp(L) on [0, inf), where L' = t - h, h increases and hd(x) = (h(x),
+    h'(x)).
 
-    centered(x0) gives, for x0 > 0, L(x0), the centered exponent delta ->
-    L(x0 + delta) - L(x0) on float arrays (formed without cancellation) and
-    h'(x0).  At an interior peak x* (h(x*) = t, found from probe) one
-    trapezoid in x sums the mass and the moments (`_x_rule`).  Where that
-    rule does not apply, a kink or jump of the integrand at x = 0 inside
-    its window, the same trapezoid runs in v = log x about the peak of
-    L(e^v) + v (`_log_rule`), which turns the edge into exponential decay.
+    centered(x0) gives, for x0 > 0, L(x0) and the centered exponent delta ->
+    L(x0 + delta) - L(x0) on float arrays (formed without cancellation),
+    whose curvature -h'(x0) comes from hd.  At an interior peak x* (h(x*)
+    = t, found from probe) one trapezoid in x sums the mass and the moments
+    (`_x_rule`).  Where that rule does not apply, a kink or jump of the
+    integrand at x = 0 inside its window, the same trapezoid runs in v =
+    log x about the peak of L(e^v) + v (`_log_rule`), which turns the edge
+    into exponential decay.
     """
-    x_peak = exponent_peak(h, t, probe)
-    mom = _x_rule(centered, x_peak) if x_peak > 0.0 else None
+    x_peak = exponent_peak(hd, t, probe)
+    mom = _x_rule(centered, x_peak, hd(x_peak)[1]) if x_peak > 0.0 else None
     if mom is None:
         # the peak of L(x) + log x, which is L(e^v) + v
-        x0 = exponent_peak(lambda x: h(x) - 1.0 / x, t, probe)
-        mom = _log_rule(centered, x0) if x0 > 0.0 else None
+        def log_hd(x: float) -> tuple[float, float]:
+            h, h1 = hd(x)
+            return h - 1.0 / x, h1 + 1.0 / (x * x)
+
+        x0 = exponent_peak(log_hd, t, probe)
+        mom = _log_rule(centered, x0, hd(x0)[1]) if x0 > 0.0 else None
     if mom is None:
         raise NumericalError(
             f"moment trapezoid missed its tolerance at t={t!r}")
     return mom
 
 
-def _x_rule(centered: Centered, x_peak: float) -> Optional[LogMoments]:
-    """The trapezoid in delta = x - x_peak with step H / sqrt(h'(x_peak))
-    over the window where E >= -DROP, or None when that window is cut at
-    x = 0 with the integrand within one step of the cut above
-    exp(-CLIP_DROP) of its peak, reaches past REACH[-1] standard units, or
-    the rule misses TRAP_TOL."""
-    L0, E, curvature = centered(x_peak)
+def _x_rule(centered: Centered, x_peak: float,
+            curvature: float) -> Optional[LogMoments]:
+    """The trapezoid in delta = x - x_peak with step H / sqrt(h'(x_peak)),
+    h'(x_peak) = curvature, over the window where E >= -DROP, or None when
+    that window is cut at x = 0 with the integrand within one step of the
+    cut above exp(-CLIP_DROP) of its peak, reaches past REACH[-1] standard
+    units, or the rule misses TRAP_TOL."""
+    L0, E = centered(x_peak)
     if not 0.0 < curvature < math.inf:
         return None
     scale = 1.0 / math.sqrt(curvature)
@@ -126,13 +143,14 @@ def _x_rule(centered: Centered, x_peak: float) -> Optional[LogMoments]:
     return _rule(L0 + math.log(step), x_peak, delta, E(delta), j_lo)
 
 
-def _log_rule(centered: Centered, x0: float) -> Optional[LogMoments]:
+def _log_rule(centered: Centered, x0: float,
+              curvature: float) -> Optional[LogMoments]:
     """The trapezoid in v = log(x / x0), x0 the peak of L(e^v) + v, with
-    step H / sqrt(1 + x0^2 h'(x0)) over the window where L(x0 e^v) + v
-    stays within CLIP_DROP of its value at x0 (the mass beyond is below
-    exp(-CLIP_DROP) of the peak's), or None when the window reaches past
-    REACH[-1] standard units or the rule misses TRAP_TOL."""
-    L0, E, curvature = centered(x0)
+    step H / sqrt(1 + x0^2 h'(x0)), h'(x0) = curvature, over the window
+    where L(x0 e^v) + v stays within CLIP_DROP of its value at x0 (the mass
+    beyond is below exp(-CLIP_DROP) of the peak's), or None when the window
+    reaches past REACH[-1] standard units or the rule misses TRAP_TOL."""
+    L0, E = centered(x0)
     curvature_v = 1.0 + x0 * x0 * curvature
     if not 0.0 < curvature_v < math.inf:
         return None
@@ -193,42 +211,63 @@ def _sums(delta: np.ndarray, w: np.ndarray):
     return z, mean, dw.sum() / z, (dw * dev).sum() / z
 
 
-def exponent_peak(h: Callable[[float], float], t: float,
-                  x_probe: float) -> float:
-    """Maximizer on [0, inf) of x -> t*x - g(x), where h = g'.
-
-    This is the one solver for an increasing equation h(x) = t: it brackets
-    the root by doubling up from x_probe (raising NonMonotone if h decreases
-    on the way) or halving down towards 0, then runs brentq when the root is
-    interior; returns 0.0 when the exponent is decreasing from the boundary
-    on.
+def solve_increasing(fd: Increasing, target: float, x0: float, *,
+                     lo: float, at_lo: tuple[float, float], x_max: float,
+                     rtol: float) -> float:
+    """x in [lo, x_max] with f(x) = target, by Newton on fd(x) = (f(x),
+    f'(x)) for an increasing f.  When f(x0) < target it starts from x0 in
+    the bracket (x0, 2 x0), whose top is evaluated, and doubled up to x_max
+    while f stays below target, only when a step leaves it; otherwise from
+    the end of (lo, x0) closer to target, at_lo standing in for fd(lo).  A
+    step that leaves the bracket bisects it; NaN counts as below target.
+    Returns once |f - target| <= rtol |target| or the step or the checked
+    bracket is at most STEP_TOL of x.  Raises NonMonotone if f falls as the
+    bracket grows, Divergent naming f(x_max) if that is below target, and
+    BracketFail if NEWTON_ITERS steps leave a residual above 1e-9 relative.
     """
-    from scipy.optimize import brentq
+    x, (f, slope) = x0, fd(x0)
+    if not f >= target:
+        lo, hi, checked = x0, min(2.0 * x0, x_max), False
+    else:
+        hi, checked = x0, True
+        if abs(at_lo[0] - target) < abs(f - target):
+            x, (f, slope) = lo, at_lo
+    for _ in range(NEWTON_ITERS):
+        if abs(f - target) <= rtol * abs(target):
+            return x
+        if f > target:
+            hi, checked = min(hi, x), True
+        else:
+            lo = max(lo, x)
+        step = (target - f) / slope if slope > 0.0 else math.nan
+        if (abs(step) <= STEP_TOL * abs(x)
+                or checked and hi - lo <= STEP_TOL * abs(x)):
+            return x
+        x_new = x + step
+        if not (lo < x_new < hi or checked):
+            # every point so far lies below target, so lo = x and f = f(lo)
+            while not (f_hi := fd(hi)[0]) >= target:
+                if f_hi < f - abs(f_hi) * 1e-9:
+                    raise NonMonotone("f fell while the bracket grew")
+                if hi >= x_max:
+                    raise Divergent(f"f(x_max) = {f_hi!r} lies below the "
+                                    f"target {target!r} (x_max = {x_max!r})")
+                lo, hi, f = hi, min(2.0 * hi, x_max), f_hi
+            checked = True
+        x = x_new if lo < x_new < hi else 0.5 * (lo + hi)
+        f, slope = fd(x)
+    if abs(f - target) <= 1e-9 * abs(target):
+        return x
+    raise BracketFail(
+        f"root solve stalled: residual {abs(f - target):.3e} at x={x!r}")
 
-    def fval(x: float) -> float:
-        # an h that overflowed to +inf lies above t; only NaN counts as below
-        v = h(x) - t
-        return -math.inf if math.isnan(v) else v
 
-    a, b = PEAK_LO, max(x_probe, 2.0 * PEAK_LO)
-    fb = fval(b)
-    grow = 0
-    while fb < 0.0:
-        a, b, fa = b, b * 2.0, fb
-        fb = fval(b)
-        if fb < fa - abs(fb + t) * 1e-9:
-            raise NonMonotone("h decreased while expanding the bracket")
-        grow += 1
-        if grow > 200 or b > 1e15:
-            raise Divergent(f"h never reaches the tilt level t={t!r}")
-    fa = fval(a)
-    shrink = 0
-    while fa > 0.0:
-        b, a = a, a * 0.5
-        fa = fval(a)
-        shrink += 1
-        if shrink > 80:
-            return 0.0  # h(0+) >= t: exponent decreasing, boundary peak
-    if fa == 0.0:
-        return a
-    return float(brentq(lambda x: h(x) - t, a, b, xtol=1e-300, rtol=8.9e-16))
+def exponent_peak(hd: Increasing, t: float, x_probe: float) -> float:
+    """Maximizer on [0, inf) of x -> t*x - g(x), hd(x) = (h(x), h'(x)) with
+    h = g' increasing: the root of h(x) = t up to the largest double from
+    x_probe, or 0.0 when h(PEAK_LO) >= t (a boundary peak)."""
+    at_lo = hd(PEAK_LO)
+    if at_lo[0] >= t:
+        return 0.0
+    return solve_increasing(hd, t, x_probe, lo=PEAK_LO, at_lo=at_lo,
+                            x_max=sys.float_info.max, rtol=0.0)

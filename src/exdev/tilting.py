@@ -11,8 +11,10 @@ huge.  For large t the comparison scale is the inverse function
 psi = h^{-1}: m ~ psi, s2 ~ psi', with the third-moment ratio recorded
 against the reference constant (M6-3)/2 as a diagnostic.
 
-The peak equation h(x) = t and the guess h(a) of invert_m run on the scalar
-term path (`g_prime_scalar`), which equals the array path's g' bit for bit.
+The peak equation h(x) = t runs on the scalar (g', g'') path (`h_pair`)
+and the guess h(a) of invert_m on `g_prime_scalar`; both equal the array
+path bit for bit.  The peak and m(t) = a are solved by the one root solver,
+`quadrature.solve_increasing`.
 """
 
 from __future__ import annotations
@@ -20,13 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
 from . import quadrature
 from .densities import X_MIN_REGULAR, LightTailDensity, psi_derivatives
-from .errors import BracketFail, DomainError, NotSolvable, OutOfRange
+from .errors import Divergent, DomainError, NotSolvable, OutOfRange
 
 __all__ = [
     "M6_STANDARD_NORMAL", "TiltedDensity", "AbelianReport", "GrowthReport",
@@ -39,11 +40,10 @@ __all__ = [
 M6_STANDARD_NORMAL = 15.0
 MU3_REFERENCE_CONST = (M6_STANDARD_NORMAL - 3.0) / 2.0
 
-# tilt inversion: relative tolerance on m(t) = a, the largest tilt tried
-# (levels above m(T_CAP) are out of range) and the Newton step budget
+# tilt inversion: relative tolerance on m(t) = a and the largest tilt tried
+# (levels above m(T_CAP) are out of range)
 REL_TOL = 1e-12
 T_CAP = 1e10
-MAX_ITER = 80
 
 # self_neglect_check window, in standardized units, and its point count
 NEGLECT_WINDOW = (-3.0, 3.0)
@@ -82,7 +82,7 @@ class TiltedDensity:
 @lru_cache(maxsize=65536)
 def _cumulants_cached(d: LightTailDensity, t: float) -> TiltedDensity:
     # d.log_c is minus this rule's log_z at t = 0, so log phi(0) is 0 exactly
-    mom = quadrature.moments(d.g_prime_scalar, t, d.centered(t),
+    mom = quadrature.moments(d.h_pair, t, d.centered(t),
                              X_MIN_REGULAR)
     return TiltedDensity(base=d, t=t, log_phi=d.log_c + mom.log_z,
                          m=mom.mean, s2=mom.var, mu3=mom.mu3)
@@ -107,10 +107,10 @@ def density_mean(d: LightTailDensity) -> float:
 def invert_m(d: LightTailDensity, a: float) -> TiltedDensity:
     """Solve m(t) = a for t >= 0.
 
-    Initial guess t0 = h(a) (exact to leading order at extreme levels),
-    then safeguarded Newton with s2 = m' and bisection fallback, the bracket
-    above t0 grown by doubling only when a step needs it.  Raises NotSolvable when a is below the base mean
-    and OutOfRange when it is above m(T_CAP).
+    quadrature.solve_increasing on (m, s2 = m') from the guess t0 = h(a),
+    exact to leading order at extreme levels.  Raises NotSolvable when a is
+    below the base mean and OutOfRange, naming m(T_CAP), when it is above
+    m(T_CAP).
     """
     if not (math.isfinite(a) and a > 0.0):
         raise DomainError("target mean must be positive and finite")
@@ -126,69 +126,20 @@ def invert_m(d: LightTailDensity, a: float) -> TiltedDensity:
         t0 = (a - base.m) / base.s2
     t0 = min(max(t0, 1e-12), T_CAP)
 
-    seen = {0.0: base}
-
     def m_s2(t: float) -> tuple[float, float]:
-        c = seen[t] = cumulants(d, t)
+        c = cumulants(d, t)
         return c.m, c.s2
 
-    return seen[_solve_mean(m_s2, a, t0, (base.m, base.s2))]
-
-
-def _solve_mean(m_s2: Callable[[float], tuple[float, float]], a: float,
-                t0: float, at_zero: tuple[float, float]) -> float:
-    """t >= 0 with m(t) = a for an increasing mean map, m_s2(t) = (m, m').
-
-    at_zero stands in for m_s2(0.0) and must lie below a.  When m(t0) < a,
-    Newton starts from t0 inside (t0, 2 t0), and the top of that bracket is
-    evaluated, doubled while m stays below a, only when a step leaves it;
-    otherwise it starts from the end of (0, t0) closer to a.  Steps that
-    leave the bracket fall back to bisection.  Raises OutOfRange, naming
-    m(T_CAP), when a lies above it.
-    """
-    c0 = m_s2(t0)
-    if c0[0] < a:
-        lo, hi, hi_checked = t0, min(2.0 * t0, T_CAP), False
-        t, (m, s2) = t0, c0
-    else:
-        lo, hi, hi_checked = 0.0, t0, True
-        t, (m, s2) = ((0.0, at_zero) if abs(at_zero[0] - a) < abs(c0[0] - a)
-                      else (t0, c0))
-    for _ in range(MAX_ITER):
-        if abs(m - a) <= REL_TOL * abs(a):
-            return t
-        if m > a:
-            hi, hi_checked = min(hi, t), True
-        else:
-            lo = max(lo, t)
-        t_new = t + (a - m) / s2
-        if not (lo < t_new < hi or hi_checked):
-            lo, hi = _grow_bracket(m_s2, a, lo, hi)
-            hi_checked = True
-        if not lo < t_new < hi:
-            t_new = 0.5 * (lo + hi)
-        t = t_new
-        m, s2 = m_s2(t)
-    if abs(m - a) <= 1e-9 * abs(a):
-        return t
-    raise BracketFail(
-        f"tilt inversion stalled: residual {abs(m - a):.3e} at t={t!r}")
-
-
-def _grow_bracket(m_s2: Callable[[float], tuple[float, float]], a: float,
-                  lo: float, hi: float) -> tuple[float, float]:
-    """(lo, hi) with m(hi) >= a, doubling hi (and moving lo up to it) while
-    m(hi) < a; OutOfRange once hi reaches T_CAP below a."""
-    for _ in range(120):
-        m_hi = m_s2(hi)[0]
-        if m_hi >= a:
-            return lo, hi
-        if hi >= T_CAP:
-            raise OutOfRange(
-                f"level {a!r} is beyond the largest reachable level "
-                f"m(t_cap) = {m_hi!r} (tilt cap t_cap = {T_CAP:g})")
-        lo, hi = hi, min(2.0 * hi, T_CAP)
-    raise BracketFail("could not bracket the tilt from above")
+    try:
+        t = quadrature.solve_increasing(m_s2, a, t0, lo=0.0,
+                                        at_lo=(base.m, base.s2),
+                                        x_max=T_CAP, rtol=REL_TOL)
+    except Divergent:
+        raise OutOfRange(
+            f"level {a!r} is beyond the largest reachable level "
+            f"m(t_cap) = {cumulants(d, T_CAP).m!r} (tilt cap t_cap = "
+            f"{T_CAP:g})") from None
+    return cumulants(d, t)
 
 
 def tilt_to_mean(d: LightTailDensity, a: float) -> TiltedDensity:

@@ -251,6 +251,18 @@ def test_unreachable_level_is_out_of_range(capsys):
 
 
 @pytest.mark.parametrize("args", [
+    ["tilt", "--density", "weibull", "--k", "1.5", "--t-max", "3.6e7",
+     "--t-count", "3"],
+    ["tail", "--density", "weibull", "--k", "1.5", "--n", "10", "--a", "1e15"],
+], ids=["tilt", "tail"])
+def test_tilt_peak_past_2_pow_49_is_solved(args, capsys):
+    # the tilt peaks lie near 5.8e14 and 1e15, past 2^49: the peak bracket
+    # grows to the largest double, not to 1e15
+    code, _, err = run_cli(args, capsys)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("args", [
     ["--f", "linear", "--dim", "3", "--a", "8", "--seed", "0"],
     ["--f", "identity", "--marginal", "positive", "--a", "3"],
 ])

@@ -25,6 +25,7 @@ from exdev import (
     psi_derivatives,
     weibull,
 )
+from exdev.densities import PSI_REL_TOL
 
 from helpers import simpson_integral
 
@@ -101,7 +102,8 @@ def test_scalar_path_is_bit_identical(make):
     xs = _scalar_points()
     assert len(xs) == 40_000
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for scalar, array in ((d.g_scalar, d.g), (d.g_prime_scalar, d.g_prime)):
+        for scalar, array in ((d.g_scalar, d.g), (d.g_prime_scalar, d.g_prime),
+                              (lambda x: d.h_pair(x)[1], d.g_second)):
             got = np.array([scalar(x) for x in xs])
             want = np.array([float(array(x)) for x in xs])
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -227,7 +229,16 @@ def test_exponent_peak_rejects_decreasing_h():
     # the one h(x) = u solver (psi, tilt peaks) refuses an h that falls
     # while its bracket expands, instead of reporting a missed level
     with pytest.raises(NonMonotone):
-        exdev.quadrature.exponent_peak(lambda x: -x, 1.0, 1.0)
+        exdev.quadrature.exponent_peak(lambda x: (-x, -1.0), 1.0, 1.0)
+
+
+def test_psi_root_past_2_pow_49():
+    # h(x) = 1.5 x^0.5 - 0.5/x meets 3.6e7 near 5.76e14, a root the peak
+    # bracket never reached while it stopped doubling at 1e15
+    d = weibull(1.5)
+    x = float(psi(d, 3.6e7))
+    assert x > 2.0 ** 49
+    assert abs(d.g_prime_scalar(x) - 3.6e7) <= PSI_REL_TOL * 3.6e7
 
 
 def test_psi_root_past_the_overflow_of_h():

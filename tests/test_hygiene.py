@@ -165,3 +165,36 @@ def test_scan_finds_a_stale_export(tmp_path):
                    " 'math', 'json']\n")
     # names bound only inside a function are not the module's
     assert stale_exports(src) == ["gone", "json", "math"]
+
+
+def scipy_imports(paths) -> list:
+    """Sorted 'scipy.module.name' for every scipy import in the files,
+    function-local ones included ('scipy.module' for a plain import)."""
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module and (
+                    node.module.split(".")[0] == "scipy"):
+                found |= {f"{node.module}.{a.name}" for a in node.names}
+            elif isinstance(node, ast.Import):
+                found |= {a.name for a in node.names
+                          if a.name.split(".")[0] == "scipy"}
+    return sorted(found)
+
+
+def test_scipy_uses_only_shrink():
+    # a ratchet: removing a scipy use deletes its line here, and a new one
+    # must be argued for by adding it
+    assert scipy_imports(sorted(PACKAGE.glob("*.py"))) == [
+        "scipy.interpolate.PchipInterpolator",
+        "scipy.sparse.csr_array",
+        "scipy.special.ndtr",
+    ]
+
+
+def test_scan_finds_a_local_scipy_import(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import scipy.linalg\nfrom scipy.special import ndtr\n"
+                   "def f():\n    from scipy.optimize import brentq\n")
+    assert scipy_imports([src]) == [
+        "scipy.linalg", "scipy.optimize.brentq", "scipy.special.ndtr"]

@@ -1,16 +1,19 @@
 """Exponential tilting: cumulants against quadrature oracles and closed forms,
 mean inversion, asymptotic diagnostics."""
 
+import functools
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import digamma, erf, polygamma
 
 from exdev import (
     DomainError,
+    ExpTerm,
     LogTerm,
     NotSolvable,
     OutOfRange,
@@ -30,7 +33,7 @@ from exdev import (
 from exdev import double_exp, quadrature, tilting
 from exdev.densities import X_MIN_REGULAR
 from exdev.levelsets import _power_law
-from exdev.tilting import _solve_mean, density_mean
+from exdev.tilting import REL_TOL, T_CAP, density_mean
 
 from helpers import simpson_integral
 
@@ -146,16 +149,21 @@ def test_log_rule_takes_only_the_windows_that_meet_zero(monkeypatch):
                          ids=["weibull2", "weibull3", "double_exp"])
 def test_moment_rules_agree_where_the_x_rule_takes_over(make):
     d = make()
-    h = d.g_prime_scalar
     for t in np.geomspace(10.0, 1e4, 25):
         centered = d.centered(float(t))
-        x_peak = quadrature.exponent_peak(h, t, X_MIN_REGULAR)
-        by_x = quadrature._x_rule(centered, x_peak)
+        x_peak = quadrature.exponent_peak(d.h_pair, t, X_MIN_REGULAR)
+        by_x = quadrature._x_rule(centered, x_peak, d.h_pair(x_peak)[1])
         if by_x is not None:
             break
     assert t > 10.0  # the grid's first tilt takes the log-x rule
-    x0 = quadrature.exponent_peak(lambda x: h(x) - 1.0 / x, t, X_MIN_REGULAR)
-    by_log = quadrature._log_rule(centered, x0)
+
+    def log_hd(x):
+        # the (h, h') of L(x) + log x, as quadrature.moments forms it
+        h, h1 = d.h_pair(x)
+        return h - 1.0 / x, h1 + 1.0 / (x * x)
+
+    x0 = quadrature.exponent_peak(log_hd, t, X_MIN_REGULAR)
+    by_log = quadrature._log_rule(centered, x0, d.h_pair(x0)[1])
     s = math.sqrt(by_x.var)
     assert abs(by_x.mean - by_log.mean) / s < 1e-11
     assert abs(by_x.var / by_log.var - 1.0) < 1e-11
@@ -246,8 +254,51 @@ def test_solve_mean_grows_the_bracket_only_when_a_step_leaves_it():
 
     # Newton's first step from t0 = 1 lands on 10, outside (1, 2): the top
     # doubles to 16, and the step, now inside (8, 16), is kept
-    assert _solve_mean(m_s2, 10.0, 1.0, (0.0, 1.0)) == 10.0
+    assert quadrature.solve_increasing(m_s2, 10.0, 1.0, lo=0.0,
+                                       at_lo=(0.0, 1.0), x_max=T_CAP,
+                                       rtol=REL_TOL) == 10.0
     assert seen == [1.0, 2.0, 4.0, 8.0, 16.0, 10.0]
+
+
+# the property tests' densities: Beta classes from light to steep, the
+# Infinity class, and the golden run's custom term list
+SOLVER_DENSITIES = {
+    "weibull1.5": lambda: weibull(1.5), "weibull2.5": lambda: weibull(2.5),
+    "weibull4": lambda: weibull(4.0), "double_exp": double_exp,
+    "cust": lambda: density_from_terms(
+        (PowerTerm(1.0, 1.5), LogTerm(-0.5), ExpTerm(0.2, 0.5))),
+}
+
+
+@functools.cache
+def _solver_density(name):
+    return SOLVER_DENSITIES[name]()
+
+
+def _log_uniform(lo, hi, u):
+    return math.exp(math.log(lo) + u * (math.log(hi) - math.log(lo)))
+
+
+@settings(derandomize=True, max_examples=60)
+@given(st.sampled_from(sorted(SOLVER_DENSITIES)), st.floats(0.0, 1.0))
+def test_exponent_peak_is_the_root_to_8_ulps(name, u):
+    # the one solver's peak x brackets h(x) = t within 8 eps of x, from
+    # h(1) up to the largest tilt T_CAP
+    d = _solver_density(name)
+    h = d.g_prime_scalar
+    t = _log_uniform(h(1.0), T_CAP, u)
+    x = quadrature.exponent_peak(d.h_pair, t, X_MIN_REGULAR)
+    eps = sys.float_info.epsilon
+    assert h(x * (1.0 - 8.0 * eps)) < t <= h(x * (1.0 + 8.0 * eps))
+
+
+@settings(derandomize=True)
+@given(st.floats(0.0, 1.0))
+def test_invert_m_round_trip_up_to_the_tilt_cap(u):
+    # Weibull 1.5 puts the peak past 2^49 from t = 3.6e7 on
+    d = _solver_density("weibull1.5")
+    t = _log_uniform(1.0, T_CAP, u)
+    assert invert_m(d, cumulants(d, t).m).t == pytest.approx(t, rel=1e-7)
 
 
 @given(st.floats(min_value=0.2, max_value=50.0))
@@ -317,7 +368,7 @@ def test_psi_is_the_tilt_peak(make):
     # psi(t) is the peak the cumulants at t integrate around
     d = make()
     for t in np.geomspace(10.0, 1e4, 25):
-        assert psi(d, t) == quadrature.exponent_peak(d.g_prime_scalar, t,
+        assert psi(d, t) == quadrature.exponent_peak(d.h_pair, t,
                                                      X_MIN_REGULAR)
 
 
