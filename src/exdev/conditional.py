@@ -24,25 +24,25 @@ Exceedance constraint: iid rows from the a-tilted product law, accepted
 when the row sum clears n a, reweighted by exp(-t (sum - n a)) to undo the
 tilt on the overshoot.  Weights lie in (0, 1], so the effective sample size
 is reported rather than assumed.  Rows stream from the tilted table in
-blocks of one reused, cache-sized buffer (`CdfTable.row_blocks`) until
-`count` of them have cleared the level; a kept row is copied out of the
-buffer, so memory stays one block plus the sample, and at most one block's
-rows are drawn and not needed.  The tilted draws form one stream whatever
-the block size, so the kept rows are the first `count` rows of that stream
-to clear the level: the block size moves only how many rows are drawn,
-never the sample.
+cache-sized blocks (`CdfTable.row_blocks`), filled and scanned by WORKERS
+threads, each in its own buffer, until `count` of them have cleared the
+level; a kept row's summary is copied out, so memory stays a block per
+worker plus the sample.  Fewer than one block's rows are consumed and not
+needed, and the few blocks filled ahead are dropped.  The tilted draws
+form one stream whatever the block size or worker count, so the kept rows
+are the first `count` rows of that stream to clear the level.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.special import ndtr
 
 from .densities import (ExpTerm, LightTailDensity, LogTerm, PowerTerm,
                         _add_terms)
@@ -299,6 +299,10 @@ def sample_point_conditional(d: LightTailDensity, cond: ConditionDescriptor,
 
 # proposal rows drawn before LowAcceptance gives up on a short sample
 MAX_PROPOSALS = 400_000_000
+# threads filling proposal blocks, one per CPU this process may run on; each
+# holds about 3 MB of buffers, so three keep a call's memory under 16 MB
+WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1, 3)
 
 
 def sample_exceedance_conditional(d: LightTailDensity,
@@ -309,15 +313,17 @@ def sample_exceedance_conditional(d: LightTailDensity,
     Proposes iid rows from the a_n-tilted product law, keeps the first
     `count` rows whose sum clears the level, and weights each kept row by
     exp(-t (sum - level)).  Rows come in blocks of `CdfTable.row_blocks`
-    (BLOCK // n rows in one reused buffer) until `count` rows are kept, so
-    fewer than one block's rows are drawn and not needed.  The draws are one
-    stream of the seeded generator whatever the block size, so the sample
-    depends on the seed alone.  `acceptance` is count over the proposal rows
-    up to and including the last kept row, also independent of the block
-    size; meta["proposals"] is the number of rows drawn.  A running
-    acceptance below 1e-4 (a wrong tilt) or MAX_PROPOSALS rows drawn raises
-    LowAcceptance.  Keeps the first coordinate of each row, plus per-row min
-    and max so window checks over all coordinates need no full states.
+    (BLOCK // n rows, in one buffer per worker thread) until `count` rows
+    are kept, so fewer than one consumed block's rows are not needed; blocks
+    filled ahead and not consumed are dropped.  The draws are one stream of
+    the seeded generator whatever the block size or worker count, so the
+    sample depends on the seed alone.  `acceptance` is count over the
+    proposal rows up to and including the last kept row, also independent
+    of the block size; meta["proposals"] counts the rows of the consumed
+    blocks.  A running acceptance below 1e-4 (a wrong tilt) or
+    MAX_PROPOSALS rows drawn raises LowAcceptance.  Keeps the first
+    coordinate of each row, plus per-row min and max so window checks over
+    all coordinates need no full states.
     """
     if cond.kind != "exceedance":
         raise DomainError("exceedance sampler needs an exceedance descriptor")
@@ -329,25 +335,30 @@ def sample_exceedance_conditional(d: LightTailDensity,
     rng = np.random.default_rng(seed)
     level = n * a
 
+    def scan(block):
+        s = block.sum(axis=1)
+        hit = np.flatnonzero(s >= level)
+        kept = block[hit]
+        return (block.shape[0], hit, s[hit], kept[:, :1].copy(),
+                kept.min(axis=1), kept.max(axis=1))
+
     got = 0
     hits = 0
     proposed = 0
     through_last = 0
     parts_c, parts_s, parts_mn, parts_mx = [], [], [], []
-    for block in table.row_blocks(n, rng):
-        s = block.sum(axis=1)
-        hit = np.flatnonzero(s >= level)
+    for k, hit, s, c, mn, mx in table.row_blocks(n, rng, scan=scan,
+                                                 workers=WORKERS):
         hits += hit.size
-        keep = hit[:count - got]
-        if keep.size:
-            kept = block[keep]
-            parts_c.append(kept[:, :1].copy())
-            parts_s.append(s[keep])
-            parts_mn.append(kept.min(axis=1))
-            parts_mx.append(kept.max(axis=1))
-            got += keep.size
-            through_last = proposed + int(keep[-1]) + 1
-        proposed += block.shape[0]
+        keep = min(hit.size, count - got)
+        if keep:
+            parts_c.append(c[:keep])
+            parts_s.append(s[:keep])
+            parts_mn.append(mn[:keep])
+            parts_mx.append(mx[:keep])
+            got += keep
+            through_last = proposed + int(hit[keep - 1]) + 1
+        proposed += k
         if proposed >= 200_000 and hits / proposed < 1e-4:
             raise LowAcceptance(
                 f"acceptance {hits / proposed:.2e} after {proposed} proposals")
@@ -730,7 +741,8 @@ def location_law_check(d: LightTailDensity, a_grid) -> LocationLawReport:
     a_grid = np.atleast_1d(np.asarray(a_grid, dtype=float))
     tds = [tilt_to_mean(d, float(a)) for a in a_grid]
     tables = [sampler_tilted(td) for td in tds]
-    ks = [np.max(np.abs(tb.F - ndtr((tb.x - a) / td.s)))
+    phi = np.frompyfunc(lambda z: 0.5 * math.erfc(-z / math.sqrt(2.0)), 1, 1)
+    ks = [np.max(np.abs(tb.F - phi((tb.x - a) / td.s).astype(float)))
           for a, td, tb in zip(a_grid, tds, tables)]
     return LocationLawReport(a=a_grid, t=np.array([td.t for td in tds]),
                              s=np.array([td.s for td in tds]), ks=np.array(ks))

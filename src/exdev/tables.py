@@ -12,23 +12,31 @@ interval guide[j] or guide[j] + 1 unless the bucket is "wide" (its guide
 entries differ by more than one, which happens only in the tails where knots
 are dense in F); those few draws fall back to a binary search.  The cubic is
 then evaluated in the same order as scipy's PPoly, so every value equals
-`PchipInterpolator(F, x)(u)` bit for bit.  Draws are filled and transformed
+`PchipInterpolator(F, x)(u)` bit for bit.  Every gather index is in range by
+construction, so `np.take` runs with mode="clip", which writes its output
+unbuffered, and the clipping never fires.  Draws are filled and transformed
 in place in blocks of BLOCK = 2^16, so the intermediates stay in cache; the
 six scratch arrays of a block are made once per thread and reused, so threads
 can share a table and a call allocates nothing but its output.
 
-`CdfTable.row_blocks(n, rng, rows)` is the one way rows of n iid draws are
-made: it yields (k, n) views of a single buffer of k n <= max(BLOCK, n)
-draws, each block overwriting the last, and fills every block through
-`sample(..., out=)`.  `sample` consumes one uniform per draw whatever the
-split, so the rows are those of `sample(rows * n, rng).reshape(rows, n)` bit
-for bit, while the memory a row consumer holds stays one block.
+`CdfTable.row_blocks(n, rng, rows, scan, workers)` is the one way rows of n
+iid draws are made: it yields scan(block) for successive (k, n) blocks of
+k n <= max(BLOCK, n) draws, each filled through `sample(..., out=)` into a
+buffer of the thread that fills it.  With several workers and a PCG64 rng
+the blocks are filled ahead, each from a copy of rng advanced to its first
+draw; blocks filled ahead and not consumed are dropped.  A double consumes
+one 64-bit output whatever the split, so the rows are those of
+`sample(rows * n, rng).reshape(rows, n)` bit for bit at any worker count,
+while memory stays one block and its scratch per worker.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -45,6 +53,9 @@ BLOCK = 1 << 16
 KNOTS = 4096
 # tail cut: the density has fallen by exp(-TAIL_DROP) from its mode there
 TAIL_DROP = 60.0
+# bit generators whose advance(d) skips exactly d doubles (Philox's skips
+# counter blocks of four)
+_ADVANCES_BY_DRAWS = (np.random.PCG64, np.random.PCG64DXSM)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,45 +104,89 @@ class CdfTable:
         return out
 
     def row_blocks(self, n: int, rng: np.random.Generator,
-                   rows: Optional[int] = None) -> Iterator[np.ndarray]:
-        """Rows of n iid draws, `rows` in all (endless when None), as (k, n)
-        views of one buffer that the next block overwrites."""
+                   rows: Optional[int] = None, scan: Callable = np.copy,
+                   workers: int = 1) -> Iterator:
+        """scan(block) for successive (k, n) blocks of rows of n iid draws,
+        `rows` in all (endless when None), in stream order, filled ahead by
+        `workers` threads when rng is a PCG64.  scan runs in the filling
+        thread and must not return a view of the block.  On exit rng stands
+        past exactly the rows yielded, as if drawn in sequence; the caller
+        draws nothing else from rng while the stream is open."""
         step = max(BLOCK // n, 1)
-        buf = np.empty(step * n, dtype=float)
-        left = math.inf if rows is None else rows
-        while left > 0:
-            k = min(step, left)
-            yield self.sample(k * n, rng, out=buf[:k * n]).reshape(k, n)
-            left -= k
+        total = math.inf if rows is None else rows
+        bitgen = rng.bit_generator
+        ahead = workers > 1 and isinstance(bitgen, _ADVANCES_BY_DRAWS)
+        depth = workers + 1 if ahead else 1
+        start = bitgen.state
+        local = threading.local()
+
+        def fill(row: int, k: int):
+            if not hasattr(local, "buf"):
+                local.buf = np.empty(step * n, dtype=float)
+                local.rng = (np.random.Generator(type(bitgen)()) if ahead
+                             else rng)
+            if ahead:
+                local.rng.bit_generator.state = start
+                local.rng.bit_generator.advance(row * n)
+            block = self.sample(k * n, local.rng, out=local.buf[:k * n])
+            return scan(block.reshape(k, n))
+
+        pool = ThreadPoolExecutor(workers) if ahead else None
+        pending = collections.deque()
+        drawn = done = 0
+        try:
+            while done < total:
+                while drawn < total and len(pending) < depth:
+                    k = min(step, total - drawn)
+                    job = (pool.submit(fill, drawn, k).result if ahead
+                           else functools.partial(fill, drawn, k))
+                    pending.append((k, job))
+                    drawn += k
+                k, job = pending.popleft()
+                out = job()
+                done += k
+                yield out
+        finally:
+            if ahead:
+                pool.shutdown(cancel_futures=True)
+                # advance drops PCG64's cached uint32 half, which doubles
+                # never touch: put it back
+                bitgen.advance(done * n)
+                bitgen.state = {**bitgen.state,
+                                "has_uint32": start["has_uint32"],
+                                "uinteger": start["uinteger"]}
 
     def _invert(self, u: np.ndarray, work: tuple) -> None:
         """Overwrite u (values in [0, 1]) with x(u)."""
         j, i, hit, s, z, tmp = (a[:u.size] for a in work)
         np.multiply(u, GUIDE_BUCKETS, out=s)
         np.copyto(j, s, casting="unsafe")
-        np.take(self.guide, j, out=i)
-        np.take(self.F_next, i, out=s)
+        # mode="clip" lets take write `out` unbuffered ("raise" buffers it);
+        # no index ever clips: j <= K indexes guide (K + 2) and wide (K + 1),
+        # guide <= F.size - 2, and F_next[-1] = inf stops `i += hit` there
+        np.take(self.guide, j, out=i, mode="clip")
+        np.take(self.F_next, i, out=s, mode="clip")
         np.less_equal(s, u, out=hit)
         i += hit
-        np.take(self.wide, j, out=hit)
+        np.take(self.wide, j, out=hit, mode="clip")
         if hit.any():
             # bucket K (u = 1) is never wide, so u < F[-1] here
             k = np.flatnonzero(hit)
             i[k] = np.searchsorted(self.F, u[k], "right") - 1
         c0, c1, c2, c3 = self.c
-        np.take(self.F, i, out=s)
+        np.take(self.F, i, out=s, mode="clip")
         np.subtract(u, s, out=s)
         # x = c3 + c2 s + c1 s^2 + c0 s^3, summed and powered as PPoly does
-        np.take(c2, i, out=z)
+        np.take(c2, i, out=z, mode="clip")
         z *= s
-        np.take(c3, i, out=u)
+        np.take(c3, i, out=u, mode="clip")
         u += z
         np.multiply(s, s, out=z)
-        np.take(c1, i, out=tmp)
+        np.take(c1, i, out=tmp, mode="clip")
         tmp *= z
         u += tmp
         z *= s
-        np.take(c0, i, out=tmp)
+        np.take(c0, i, out=tmp, mode="clip")
         tmp *= z
         u += tmp
 

@@ -113,11 +113,11 @@ class ISOracleResult:
 def _is_batch(table: CdfTable, rng: np.random.Generator, rows: int, n: int,
               t: float, n_log_phi: float, na: float):
     """One batch of importance draws: returns (log-weights of hits, hits)."""
-    parts = []
-    for x in table.row_blocks(n, rng, rows):
+    def scan(x):
         sums = x.sum(axis=1)
-        parts.append(n_log_phi - t * sums[sums >= na])
-    logw = np.concatenate(parts)
+        return n_log_phi - t * sums[sums >= na]
+
+    logw = np.concatenate(list(table.row_blocks(n, rng, rows, scan)))
     return logw, logw.size
 
 

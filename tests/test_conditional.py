@@ -315,6 +315,22 @@ def test_exceedance_sample_independent_of_block_size(weibull25, monkeypatch):
     assert 0 <= narrow.meta["proposals"] - used < 1024 // 8
 
 
+def test_exceedance_sample_independent_of_worker_count(weibull25,
+                                                      monkeypatch):
+    cond = ConditionDescriptor("exceedance", 16, 2.0)
+    runs = []
+    for workers in (1, 3):
+        monkeypatch.setattr(conditional, "WORKERS", workers)
+        runs.append(sample_exceedance_conditional(weibull25, cond, 30_000,
+                                                  seed=23))
+    one, three = runs
+    for x, y in zip(_exceedance_rows(one), _exceedance_rows(three)):
+        np.testing.assert_array_equal(x, y)
+    assert one.acceptance == three.acceptance and one.ess == three.ess
+    assert one.meta["proposals"] == three.meta["proposals"]
+    assert one.meta["proposals"] > 10 * tables.BLOCK // 16
+
+
 def test_exceedance_sampler_memory_is_one_block(weibull25):
     # 40000 rows of 128 draws would be 41 MB; only the kept columns stay
     cond = ConditionDescriptor("exceedance", 128, 2.0)

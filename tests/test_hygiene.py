@@ -188,7 +188,6 @@ def test_scipy_uses_only_shrink():
     assert scipy_imports(sorted(PACKAGE.glob("*.py"))) == [
         "scipy.interpolate.PchipInterpolator",
         "scipy.sparse.csr_array",
-        "scipy.special.ndtr",
     ]
 
 

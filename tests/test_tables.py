@@ -1,9 +1,11 @@
 """Guide-table inverse of the CDF table: bit-identical to the PCHIP
 interpolant it replaces, at the knots, in the wide tail buckets and at the
-ends of [0, 1], for every block size; rows streamed through one reused
-buffer are the rows of one long draw."""
+ends of [0, 1], for every block size; its gather indices stay in range at
+any level; rows streamed in blocks, on any number of threads, are the rows
+of one long draw, and leave the generator where that draw would."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -91,15 +93,76 @@ def test_sample_into_out_matches_fresh_draws(table):
 def test_row_blocks_are_rows_of_one_draw(table, n):
     step = max(BLOCK // n, 1)
     rows = 2 * step + 3 if step > 1 else 3
-    blocks, bases = [], set()
+    blocks = []
     for block in table.row_blocks(n, np.random.default_rng(9), rows):
         assert block.shape[1] == n and block.size <= max(BLOCK, n)
-        bases.add(block.ctypes.data)
         blocks.append(block.copy())
-    assert len(bases) == 1  # every block is a view of one buffer
     ref = table.sample(rows * n, np.random.default_rng(9)).reshape(rows, n)
     np.testing.assert_array_equal(_bits(np.concatenate(blocks)), _bits(ref))
     # without a row count the stream goes on, with the same leading rows
     endless = table.row_blocks(n, np.random.default_rng(9))
     head = np.concatenate([b.copy() for b in itertools.islice(endless, 2)])
     np.testing.assert_array_equal(_bits(head), _bits(ref[:head.shape[0]]))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 10, 256, BLOCK + 5])
+def test_row_blocks_on_workers_are_rows_of_one_draw(table, n, workers):
+    step = max(BLOCK // n, 1)
+    rows = 5 * step + 3 if step > 1 else 5  # not a multiple of the block
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the filling threads finely
+    try:
+        got = np.concatenate(list(table.row_blocks(
+            n, np.random.default_rng(9), rows, workers=workers)))
+    finally:
+        sys.setswitchinterval(interval)
+    ref = table.sample(rows * n, np.random.default_rng(9)).reshape(rows, n)
+    np.testing.assert_array_equal(_bits(got), _bits(ref))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_closed_stream_leaves_rng_past_the_rows_yielded(table, workers):
+    n = 10
+    rng, ref = np.random.default_rng(10), np.random.default_rng(10)
+    # a 32-bit draw caches the other half of its 64-bit output
+    assert rng.integers(1000, dtype=np.int32) == ref.integers(
+        1000, dtype=np.int32)
+    stream = table.row_blocks(n, rng, workers=workers)
+    head = np.concatenate(list(itertools.islice(stream, 2)))
+    stream.close()
+    np.testing.assert_array_equal(
+        _bits(head), _bits(table.sample(head.size, ref).reshape(-1, n)))
+    assert rng.random() == ref.random()
+    assert rng.integers(1000, dtype=np.int32) == ref.integers(
+        1000, dtype=np.int32)
+
+
+@pytest.mark.parametrize("bitgen", [np.random.MT19937, np.random.Philox])
+def test_row_blocks_without_draw_counted_advance_are_sequential(table,
+                                                                bitgen):
+    # MT19937 has no advance and Philox's counts blocks of four draws
+    rows = 3 * BLOCK // 10 + 1
+    got = np.concatenate(list(table.row_blocks(
+        10, np.random.Generator(bitgen(11)), rows, workers=2)))
+    ref = table.sample(rows * 10, np.random.Generator(bitgen(11)))
+    np.testing.assert_array_equal(_bits(got), _bits(ref.reshape(rows, 10)))
+
+
+GATHER_TABLES = TABLES + [("weibull", 2.5, 1e5), ("weibull", 1.5, 1.5),
+                          ("double-exp", None, 1.5)]
+
+
+@pytest.mark.parametrize("kind,k,a", GATHER_TABLES,
+                         ids=[f"{d}-{k}-a{a}" for d, k, a in GATHER_TABLES])
+def test_gather_indices_never_clip(kind, k, a):
+    # the kernel gathers with mode="clip": an index that would clip gives a
+    # silent wrong draw, so every index must be in range by construction
+    d = exdev.weibull(k) if kind == "weibull" else exdev.double_exp()
+    tb = sampler_tilted(tilt_to_mean(d, a))
+    assert tb.guide.size == GUIDE_BUCKETS + 2
+    assert tb.wide.size == GUIDE_BUCKETS + 1
+    assert tb.guide.min() >= 0 and tb.guide.max() <= tb.F.size - 2
+    assert tb.F_next[-1] == np.inf
+    np.testing.assert_array_equal(tb.F_next[:-1], tb.F[1:-1])
+    assert tb.c.shape == (4, tb.F.size - 1)
