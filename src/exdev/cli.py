@@ -27,7 +27,7 @@ from .config import (as_float, as_int, as_int_list, as_seed,
                      density_from_options, load_config, merge_options)
 from .conditional import (ConditionDescriptor, dlp_check, epsilon_schedule,
                           exceedance_vs_point_equivalence, marginal_tv,
-                          sample_point_conditional)
+                          sample_point_conditional, usable_cpus)
 from .edgeworth import convolve_oracle, edgeworth_density
 from .errors import ExdevError, ValidationError
 from .levelsets import (f_catalog, level_set_sampler, positive_marginal,
@@ -46,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _threads(opts: Dict[str, str]) -> int:
-    v = as_int(opts, "threads") if "threads" in opts else (os.cpu_count() or 1)
+    v = as_int(opts, "threads") if "threads" in opts else usable_cpus()
     if v < 1:
         raise ValidationError("threads must be >= 1")
     return v

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .densities import (ExpTerm, LightTailDensity, LogTerm, PowerTerm,
                         _add_terms)
@@ -297,12 +296,17 @@ def sample_point_conditional(d: LightTailDensity, cond: ConditionDescriptor,
 # ---------------------------------------------------------------------------
 # exceedance sampler
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
 # proposal rows drawn before LowAcceptance gives up on a short sample
 MAX_PROPOSALS = 400_000_000
-# threads filling proposal blocks, one per CPU this process may run on; each
-# holds about 3 MB of buffers, so three keep a call's memory under 16 MB
-WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-              else os.cpu_count() or 1, 3)
+# threads filling proposal blocks, one per usable CPU; each holds about 3 MB
+# of buffers, so three keep a call's memory under 16 MB
+WORKERS = min(usable_cpus(), 3)
 
 
 def sample_exceedance_conditional(d: LightTailDensity,
@@ -435,6 +439,7 @@ def marginal_tv(sample: ConditionalSample, reference,
     for Gibbs output, rows otherwise) with replacement and sums their masses.
     Raises TooFewSamples below 1000 values or MIN_TV_UNITS units.
     """
+    from scipy.sparse import csr_array  # not on `import exdev`
     ref_pdf = reference.pdf if hasattr(reference, "pdf") else reference
     blocks, weights = sample.tv_blocks()
     vals = np.sort(blocks, axis=1)  # bins in runs, percentiles partition fast

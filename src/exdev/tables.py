@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import TableBuildFail
 from .quadrature import bisect_drop
@@ -234,6 +233,7 @@ def build_cdf_table(log_pdf: Callable, *, peak: float,
     relative to the mode (mass beyond is far below every tolerance used
     downstream).
     """
+    from scipy.interpolate import PchipInterpolator  # not on `import exdev`
     if not (math.isfinite(peak) and math.isfinite(scale) and scale > 0.0):
         raise TableBuildFail("bad peak/scale hints")
 

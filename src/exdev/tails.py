@@ -13,11 +13,14 @@ flagged (and a warning emitted) rather than refused.
 The oracle draws iid rows from the a-tilted law, streamed through one
 cache-sized buffer per batch, weights the exceedance indicator back to the
 base measure, and accumulates everything in log space so that probabilities
-near 1e-300 come out with honest relative error bars.
+near 1e-300 come out with honest relative error bars.  Each row block is
+folded into a running log-sum-exp as it is drawn, so the oracle's memory
+does not grow with the number of samples.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -110,37 +113,35 @@ class ISOracleResult:
         return math.exp(self.log_prob) if self.log_prob > -745.0 else 0.0
 
 
+# (max m, sum of e^(w - m), sum of e^(2 (w - m)), hits) over no log-weights
+_EMPTY = (-math.inf, 0.0, 0.0, 0)
+
+
+def _fold(a: tuple, b: tuple) -> tuple:
+    """Merge two log-weight sums by rescaling both to the larger max."""
+    top = max(a[0], b[0])
+    if top == -math.inf:
+        return (top, 0.0, 0.0, a[3] + b[3])
+    ea, eb = math.exp(a[0] - top), math.exp(b[0] - top)
+    return (top, a[1] * ea + b[1] * eb, a[2] * ea * ea + b[2] * eb * eb,
+            a[3] + b[3])
+
+
 def _is_batch(table: CdfTable, rng: np.random.Generator, rows: int, n: int,
-              t: float, n_log_phi: float, na: float):
-    """One batch of importance draws: returns (log-weights of hits, hits)."""
+              t: float, n_log_phi: float, na: float) -> tuple:
+    """One batch of importance draws, each row block reduced to the sums of
+    its hits' weights and folded in stream order (see _EMPTY)."""
     def scan(x):
         sums = x.sum(axis=1)
-        return n_log_phi - t * sums[sums >= na]
+        logw = n_log_phi - t * sums[sums >= na]
+        if not logw.size:
+            return _EMPTY
+        top = logw.max()
+        e = np.exp(logw - top)
+        return float(top), float(e.sum()), float((e * e).sum()), e.size
 
-    logw = np.concatenate(list(table.row_blocks(n, rng, rows, scan)))
-    return logw, logw.size
-
-
-def _logsumexp(x: np.ndarray, scratch: np.ndarray) -> float:
-    """log(sum(exp(x))) for a 1-D x, in scipy.special.logsumexp's arithmetic
-    and bit for bit equal to it, with scratch (x's shape) as the only array
-    of x's size it writes: the maxima are set apart (count m), the rest
-    summed as s = sum(exp(x - max)), and the result is
-    log1p(s / m) + log(m) + max; a non-finite result falls back to
-    log(sum(exp(x))), as scipy's does."""
-    top = x.max()
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.subtract(x, top, out=scratch)
-        at_top = scratch == 0.0
-        m = np.float64(np.count_nonzero(at_top))
-        scratch[at_top] = -np.inf
-        s = np.exp(scratch, out=scratch).sum()
-        if s != 0.0:
-            s = s / m
-        out = np.log1p(s) + np.log(m) + top
-        if not np.isfinite(out):
-            out = np.log(np.exp(x, out=scratch).sum())
-    return float(out)
+    return functools.reduce(_fold, table.row_blocks(n, rng, rows, scan),
+                            _EMPTY)
 
 
 def tail_prob_is_oracle(d: LightTailDensity, n: int, a: float,
@@ -149,10 +150,13 @@ def tail_prob_is_oracle(d: LightTailDensity, n: int, a: float,
     """Importance-sampling estimate of P(S_n >= n a) under the a-tilted law.
 
     Each row is an iid n-vector from pi_a; the self-normalized weight of a
-    hit is exp(n log phi(t) - t S).  All accumulation happens through a
-    log-sum-exp, so the estimate and its relative standard error survive
-    probabilities far below the double floor.  Deterministic for a fixed
-    seed regardless of thread count: every batch of BATCH_ROWS rows owns a
+    hit is exp(n log phi(t) - t S).  Each row block is reduced to its hits'
+    max log-weight and the sums of w and w^2 scaled by it; blocks merge in
+    stream order and batches in index order, each rescaled to the running
+    max, so the estimate and its relative standard error survive
+    probabilities far below the double floor, and memory holds a block of
+    draws per thread whatever `samples` is.  Deterministic for a fixed seed
+    regardless of thread count: every batch of BATCH_ROWS rows owns a
     SeedSequence child keyed by its index.
     """
     if n < 1:
@@ -163,15 +167,9 @@ def tail_prob_is_oracle(d: LightTailDensity, n: int, a: float,
     table = sampler_tilted(td)
     na = n * a
     n_log_phi = n * td.log_phi
-    rows_per = min(BATCH_ROWS, samples)
-    counts = []
-    left = samples
-    while left > 0:
-        take = min(rows_per, left)
-        counts.append(take)
-        left -= take
-    ss = np.random.SeedSequence(seed)
-    children = ss.spawn(len(counts))
+    counts = [min(BATCH_ROWS, samples - lo)
+              for lo in range(0, samples, BATCH_ROWS)]
+    children = np.random.SeedSequence(seed).spawn(len(counts))
 
     def run(i: int):
         rng = np.random.default_rng(children[i])
@@ -183,16 +181,11 @@ def tail_prob_is_oracle(d: LightTailDensity, n: int, a: float,
     else:
         parts = [run(i) for i in range(len(counts))]
 
-    log_ws = [p[0] for p in parts if p[0].size]
-    hits = sum(p[1] for p in parts)
+    top, s1, s2, hits = functools.reduce(_fold, parts, _EMPTY)
     if hits == 0:
         raise DegenerateWeights("no exceedances: tilt missed the event")
-    allw = np.concatenate(log_ws)
-    del parts, log_ws
-    scratch = np.empty_like(allw)
-    lse1 = _logsumexp(allw, scratch)  # log sum w
-    allw *= 2.0
-    lse2 = _logsumexp(allw, scratch)  # log sum w^2
+    lse1 = top + math.log(s1)  # log sum w
+    lse2 = 2.0 * top + math.log(s2)  # log sum w^2
     log_p = lse1 - math.log(samples)
     ess = math.exp(2.0 * lse1 - lse2)
     if ess < ESS_FLOOR:
