@@ -87,13 +87,32 @@ class GTerm:
         raise NotImplementedError
 
 
-def _excess(direct: np.ndarray, a: np.ndarray, coefs) -> np.ndarray:
-    """direct where |a| >= SERIES_BELOW, else sum_k coefs[k - 2] a^k over
-    k = 2..SERIES_ORDER (Horner)."""
-    near = coefs[-1]
+def _series(a: np.ndarray, coefs) -> np.ndarray:
+    """sum_k coefs[k - 2] a^k over k = 2..SERIES_ORDER (Horner)."""
+    out = coefs[-1]
     for c in coefs[-2::-1]:
-        near = near * a + c
-    return np.where(np.abs(a) < SERIES_BELOW, near * a * a, direct)
+        out = out * a + c
+    return out * a * a
+
+
+def _excess(a: np.ndarray, coefs, far: Callable) -> np.ndarray:
+    """far(a) where |a| >= SERIES_BELOW, else _series(a, coefs); each
+    branch runs on its own elements only."""
+    near = np.abs(a) < SERIES_BELOW
+    if near.all():
+        return _series(a, coefs)
+    if not near.any():
+        return far(a)
+    out = np.empty_like(a)
+    out[near] = _series(a[near], coefs)
+    rest = ~near
+    out[rest] = far(a[rest])
+    return out
+
+
+# the series coefficients of log1p(a) - a and expm1(a) - a
+_LOG_SERIES = [(-1.0) ** (k + 1) / k for k in range(2, SERIES_ORDER + 1)]
+_EXP_SERIES = [1.0 / math.factorial(k) for k in range(2, SERIES_ORDER + 1)]
 
 
 @dataclass(frozen=True)
@@ -128,16 +147,20 @@ class PowerTerm(GTerm):
             c = c * (p - k)
         return lambda x: c * float(np.power(x, p - n))
 
-    def excess(self, x0, delta):
-        # x0^p ((1 + u)^p - 1 - p u), u = delta / x0; series coefficients
-        # are the binomials C(p, k)
-        p, u = self.exponent, delta / x0
-        coefs, c = [], p
+    @cached_property
+    def _binomials(self) -> list:
+        """C(p, k) for k = 2..SERIES_ORDER."""
+        p, out, c = self.exponent, [], self.exponent
         for k in range(2, SERIES_ORDER + 1):
             c *= (p - k + 1.0) / k
-            coefs.append(c)
-        direct = np.expm1(p * np.log1p(u)) - p * u
-        return self.coef * x0 ** p * _excess(direct, u, coefs)
+            out.append(c)
+        return out
+
+    def excess(self, x0, delta):
+        # x0^p ((1 + u)^p - 1 - p u), u = delta / x0
+        p, u = self.exponent, delta / x0
+        return self.coef * x0 ** p * _excess(
+            u, self._binomials, lambda v: np.expm1(p * np.log1p(v)) - p * v)
 
 
 @dataclass(frozen=True)
@@ -165,9 +188,8 @@ class LogTerm(GTerm):
 
     def excess(self, x0, delta):
         # log1p(u) - u, u = delta / x0; -inf at x0 + delta = 0
-        u = delta / x0
-        coefs = [(-1.0) ** (k + 1) / k for k in range(2, SERIES_ORDER + 1)]
-        return self.coef * _excess(np.log1p(u) - u, u, coefs)
+        return self.coef * _excess(delta / x0, _LOG_SERIES,
+                                   lambda v: np.log1p(v) - v)
 
 
 @dataclass(frozen=True)
@@ -192,10 +214,9 @@ class ExpTerm(GTerm):
 
     def excess(self, x0, delta):
         # e^{r x0} (expm1(r delta) - r delta)
-        a = self.rate * delta
-        coefs = [1.0 / math.factorial(k) for k in range(2, SERIES_ORDER + 1)]
         return (self.coef * math.exp(self.rate * x0)
-                * _excess(np.expm1(a) - a, a, coefs))
+                * _excess(self.rate * delta, _EXP_SERIES,
+                          lambda v: np.expm1(v) - v))
 
 
 def _add_terms(terms: Sequence[GTerm], pick: str, x: np.ndarray):
@@ -310,6 +331,12 @@ class LightTailDensity:
         return centered
 
     def log_pdf(self, x):
+        if isinstance(x, float):
+            # the scalar path, equal to the 0-d array path bit for bit
+            if x < 0.0:
+                raise DomainError("density is supported on x >= 0")
+            out = self.log_c - self.g_scalar(x)
+            return -math.inf if math.isnan(out) else out
         x = np.asarray(x, dtype=float)
         if np.any(x < 0.0):
             raise DomainError("density is supported on x >= 0")

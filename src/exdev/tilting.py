@@ -69,7 +69,9 @@ class TiltedDensity:
         return math.sqrt(self.s2)
 
     def log_pdf(self, x):
-        return self.t * np.asarray(x, dtype=float) + self.base.log_pdf(x) - self.log_phi
+        # a float takes the base's scalar path, equal to its 0-d path
+        tx = self.t * (x if isinstance(x, float) else np.asarray(x, dtype=float))
+        return tx + self.base.log_pdf(x) - self.log_phi
 
     def pdf(self, x):
         out = np.exp(self.log_pdf(x))

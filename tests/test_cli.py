@@ -369,7 +369,7 @@ def test_gibbs_tv_refuses_non_convex_exponent(capsys):
 
 
 def test_import_does_not_load_scipy_stats():
-    # nor any scipy module: src imports its two scipy uses where they run
+    # nor any scipy module: src imports its one scipy use where it runs
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, exdev; "

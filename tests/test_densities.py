@@ -25,7 +25,8 @@ from exdev import (
     psi_derivatives,
     weibull,
 )
-from exdev.densities import PSI_REL_TOL
+from exdev.densities import PSI_REL_TOL, SERIES_BELOW, SERIES_ORDER
+from exdev.tilting import cumulants
 
 from helpers import simpson_integral
 
@@ -157,6 +158,101 @@ def test_excess_sums_the_catalog():
     np.testing.assert_array_equal(d.excess(1.3, delta), want)
     # a log term meets -inf at x = 0, so the tilted exponent does too
     assert d.excess(1.3, np.array([-1.3]))[0] == math.inf
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def _both_branches_excess(term, x0, delta):
+    """term.excess as first written: the series and the expm1/log1p form on
+    every element, then np.where picks one."""
+    def pick(direct, a, coefs):
+        near = coefs[-1]
+        for c in coefs[-2::-1]:
+            near = near * a + c
+        return np.where(np.abs(a) < SERIES_BELOW, near * a * a, direct)
+
+    ks = range(2, SERIES_ORDER + 1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if isinstance(term, PowerTerm):
+            p, u = term.exponent, delta / x0
+            coefs, c = [], p
+            for k in ks:
+                c *= (p - k + 1.0) / k
+                coefs.append(c)
+            direct = np.expm1(p * np.log1p(u)) - p * u
+            return term.coef * x0 ** p * pick(direct, u, coefs)
+        if isinstance(term, LogTerm):
+            u = delta / x0
+            coefs = [(-1.0) ** (k + 1) / k for k in ks]
+            return term.coef * pick(np.log1p(u) - u, u, coefs)
+        a = term.rate * delta
+        coefs = [1.0 / math.factorial(k) for k in ks]
+        return (term.coef * math.exp(term.rate * x0)
+                * pick(np.expm1(a) - a, a, coefs))
+
+
+@pytest.mark.parametrize("term", [
+    PowerTerm(1.0, 0.5), PowerTerm(0.7, 1.5), PowerTerm(1.0, 2.5),
+    PowerTerm(1.0, 4.0), LogTerm(-1.5), LogTerm(0.5),
+    ExpTerm(math.exp(-1.0), 1.0), ExpTerm(0.2, 0.5)], ids=repr)
+def test_branch_local_excess_equals_both_branches(term):
+    # the series runs only where |u| < SERIES_BELOW and expm1/log1p only on
+    # the rest; each element gets the same operations as when both ran
+    # everywhere.  u = -1 is x = 0, where a log gives -inf
+    b = SERIES_BELOW
+    mixed = np.array([-1.0, -0.5, -b, -0.9 * b, -1e-9, 0.0, 1e-7, 0.5 * b,
+                      b, 1.1 * b, 0.3, 30.0])
+    near = np.linspace(-0.99 * b, 0.99 * b, 41)
+    far = np.array([-1.0, -0.999, -0.2, -b, b, 2.0, 40.0])
+    # x0 (and the exp term's rate) are powers of two, so u is exactly
+    # +-SERIES_BELOW where asked; 7.3 gives a grid with no such node
+    for x0 in (0.5, 4.0, 7.3):
+        scale = 1.0 / term.rate if isinstance(term, ExpTerm) else x0
+        for u in (mixed, near, far, np.array([-1.0]), np.empty(0)):
+            delta = u * scale
+            if x0 != 7.3 and u.size:
+                a = (term.rate * delta if isinstance(term, ExpTerm)
+                     else delta / x0)
+                assert np.array_equal(a, u)
+            with np.errstate(divide="ignore", over="ignore",
+                             invalid="ignore"):
+                got = term.excess(x0, delta)
+            want = _both_branches_excess(term, x0, delta)
+            assert got.shape == want.shape
+            assert np.array_equal(_bits(got), _bits(want))
+
+
+LOG_PDF_DENSITIES = [
+    lambda: weibull(1.5), lambda: weibull(2.5), exdev.double_exp,
+    lambda: density_from_terms((PowerTerm(1.0, 2.5), ExpTerm(0.1, 0.5)))]
+
+
+@pytest.mark.parametrize("make", LOG_PDF_DENSITIES,
+                         ids=["weibull1.5", "weibull2.5", "dexp", "power+exp"])
+def test_float_log_pdf_equals_the_array_path(make):
+    # a float takes the scalar path (g_scalar); at x = 0, in the far tail
+    # and where an exp term overflows it must agree with the 0-d array path
+    d = make()
+    peak = cumulants(d, 0.0).m
+    xs = [0.0, -0.0, 5e-324, 1e-300, 1e-8, 0.5, peak, 30.0, 1e3, 1500.0,
+          1e10, 1e300, math.inf, math.nan]
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for x in xs:
+            for model in (d, cumulants(d, 0.0), cumulants(d, 7.0)):
+                got = model.log_pdf(x)
+                want = model.log_pdf(np.asarray(x))
+                assert type(got) is float  # the scalar path ran
+                assert _bits(got) == _bits(want), (model, x)
+                assert model.log_pdf(np.float64(x)) == got or math.isnan(got)
+    for x in (-0.5, -5e-324, -math.inf):
+        for model in (d, cumulants(d, 7.0)):
+            with pytest.raises(DomainError):
+                model.log_pdf(x)
+            with pytest.raises(DomainError):
+                model.log_pdf(np.asarray(x))
 
 
 ALL_PICKS = "g g_prime g_second g_third log_pdf"

@@ -112,6 +112,26 @@ def test_edgeworth_formula_decomposition(td20):
         td20.mu3 / (6.0 * np.sqrt(16.0) * td20.s ** 3), rel=1e-12)
 
 
+@pytest.mark.parametrize("half_width", [12.0, 18.0])
+def test_edgeworth_cubes_are_exact_on_oracle_grids(weibull2, weibull3,
+                                                   half_width):
+    # x * x * x equals x ** 3 wherever the cube is exact, as on the oracle's
+    # grids here, at criterion 03's tilts and sizes: its verdict and the
+    # edgeworth golden cannot move
+    cases = [(tilt_to_mean(weibull3, 20.0), n) for n in (4, 16, 64)]
+    cases.append((tilt_to_mean(weibull2, 2.0), 4))
+    for td, n in cases:
+        x = convolve_oracle(td, n, GridSpec(half_width=half_width)).x
+        ev = edgeworth_density(td, n, x)
+        coeff = td.mu3 / (6.0 * np.sqrt(n) * td.s ** 3)
+        gauss = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+        corr = gauss * coeff * (x ** 3 - 3.0 * x)
+        np.testing.assert_array_equal(ev.correction.view(np.int64),
+                                      corr.view(np.int64))
+        np.testing.assert_array_equal(ev.value.view(np.int64),
+                                      (gauss + corr).view(np.int64))
+
+
 def test_edgeworth_beats_gaussian_at_moderate_skew(weibull2):
     # lower tilt keeps the single-step skew visible
     td = tilt_to_mean(weibull2, 2.0)

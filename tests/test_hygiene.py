@@ -186,7 +186,6 @@ def test_scipy_uses_only_shrink():
     # a ratchet: removing a scipy use deletes its line here, and a new one
     # must be argued for by adding it
     assert scipy_imports(sorted(PACKAGE.glob("*.py"))) == [
-        "scipy.interpolate.PchipInterpolator",
         "scipy.sparse.csr_array",
     ]
 

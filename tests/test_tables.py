@@ -1,8 +1,10 @@
-"""Guide-table inverse of the CDF table: bit-identical to the PCHIP
-interpolant it replaces, at the knots, in the wide tail buckets and at the
-ends of [0, 1], for every block size; its gather indices stay in range at
-any level; rows streamed in blocks, on any number of threads, are the rows
-of one long draw, and leave the generator where that draw would."""
+"""Guide-table inverse of the CDF table: its coefficients are scipy's PCHIP
+coefficients and its draws the PCHIP interpolant's, bit for bit, at the
+knots, in the wide tail buckets and at the ends of [0, 1], for every block
+size; a table built through float probes is the 0-d array path's; its
+gather indices stay in range at any level; rows streamed in blocks, on any
+number of threads, are the rows of one long draw, and leave the generator
+where that draw would."""
 
 import itertools
 import sys
@@ -13,6 +15,7 @@ from scipy.interpolate import PchipInterpolator
 
 import exdev
 from exdev import sampler_tilted, tilt_to_mean
+from exdev import tables
 from exdev.tables import BLOCK, GUIDE_BUCKETS
 
 TABLES = [("weibull", 2.0, 3.0), ("weibull", 2.5, 3.0),
@@ -47,6 +50,47 @@ def test_table_has_wide_buckets(table):
     # the fallback path is exercised by the tests below
     assert table.wide.any()
     assert table.F[0] == 0.0 and table.F[-1] == 1.0
+
+
+def _pchip_c(F, x):
+    """scipy's PCHIP coefficients, with the +0.0 its PPoly sum starts at."""
+    c = PchipInterpolator(F, x).c.copy()
+    c[3] += 0.0
+    return c
+
+
+def test_coefficients_are_scipys_pchip(table):
+    np.testing.assert_array_equal(_bits(table.c),
+                                  _bits(_pchip_c(table.F, table.x)))
+
+
+def test_pchip_port_on_non_monotone_data():
+    # tables only ever hold increasing x, but the port keeps every branch of
+    # scipy's slopes: zero and sign-changing secants, and both end-slope
+    # fixes (0 where the estimate's sign flips, 3 m0 where it overshoots)
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n = int(rng.integers(3, 30))
+        F = np.cumsum(rng.random(n) + 1e-3) * rng.choice([1e-9, 1.0, 1e6])
+        x = rng.standard_normal(n) * rng.choice([1e-3, 1.0, 1e3])
+        x[rng.random(n) < 0.2] = 0.0
+        np.testing.assert_array_equal(_bits(tables._pchip_coefficients(F, x)),
+                                      _bits(_pchip_c(F, x)))
+
+
+@pytest.mark.parametrize("kind, k, a", TABLES)
+def test_float_probes_build_the_array_path_table(kind, k, a):
+    # build_cdf_table probes the log density one float at a time; those
+    # probes take the scalar path, and the table is the one that 0-d arrays
+    # give
+    d = exdev.weibull(k) if kind == "weibull" else exdev.double_exp()
+    td = tilt_to_mean(d, a)
+    fast = sampler_tilted(td)
+    slow = tables.build_cdf_table(lambda x: td.log_pdf(np.asarray(x)),
+                                  peak=td.m, scale=td.s)
+    for name in ("x", "F", "c"):
+        np.testing.assert_array_equal(_bits(getattr(fast, name)),
+                                      _bits(getattr(slow, name)))
 
 
 def test_ppf_matches_pchip_at_special_points(table):

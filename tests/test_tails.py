@@ -193,7 +193,7 @@ def test_is_oracle_log_sums_equal_scipy_logsumexp(weibull2):
 def test_is_oracle_memory_does_not_grow_with_samples():
     # each row block is folded into running sums; keeping every hit's
     # log-weight until the end peaked at 26 MB at 3.2e6 samples.  The first
-    # call runs untraced: its table build imports scipy.interpolate
+    # call runs untraced, so one-time costs stay out of the peaks
     d = weibull(2)
     tail_prob_is_oracle(d, 10, 3.0, samples=10_000)
     peaks = []
