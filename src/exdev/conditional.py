@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -50,7 +50,7 @@ from .errors import (DomainError, InfeasibleStart, LowAcceptance,
                      LowESSWarning, MassTooSmall, ScheduleInfeasible,
                      TooFewSamples)
 from .quadrature import moments
-from .tilting import tilt_to_mean
+from .tilting import TiltedDensity, tilt_to_mean
 from .tails import ESS_FLOOR, sampler_tilted
 
 __all__ = [
@@ -553,14 +553,12 @@ class SecondOrderReference:
     / rho_n(n a) with the leave-one-out sum written through its tilted CLT is
     pi_t(y) times a Gaussian in (y - a_n) of variance s^2 (n-1), up to
     normalization.  The Gaussian factor flattens at rate 1/(n-1) on the tilted
-    bulk, which is what drives reference -> tilted as n grows.
+    bulk, which is what drives reference -> tilted as n grows.  pi_t is td.
     """
 
-    density: LightTailDensity
+    td: TiltedDensity
     n: int
     a_n: float
-    t: float
-    log_phi: float
     sigma2: float
     log_norm: float  # log of the unnormalized integral
 
@@ -572,8 +570,7 @@ class SecondOrderReference:
         y = np.asarray(y, dtype=float)
         gauss = -0.5 * (y - self.a_n) ** 2 / self.sigma2 \
             - 0.5 * math.log(2.0 * math.pi * self.sigma2)
-        tilted = self.t * y + self.density.log_pdf(y) - self.log_phi
-        return tilted + gauss - self.log_norm
+        return self.td.log_pdf(y) + gauss - self.log_norm
 
     def pdf(self, y):
         out = np.exp(self.log_pdf(y))
@@ -587,26 +584,24 @@ def second_order_reference(d: LightTailDensity, n: int,
         raise DomainError("second-order reference needs n >= 2")
     td = tilt_to_mean(d, a_n)
     sigma2 = td.s2 * (n - 1)
-    log_phi = td.log_phi
+    unnormalized = SecondOrderReference(td=td, n=n, a_n=a_n, sigma2=sigma2,
+                                        log_norm=0.0)
     tilted = d.centered(td.t)
 
     def centered(x0: float):
-        # the tilted exponent plus the Gaussian's log, centered at x0
-        L0, E = tilted(x0)
+        # the unnormalized log density at x0 and its exponent centered there
+        E = tilted(x0)[1]
         slope = (x0 - a_n) / sigma2
-        L0 += (d.log_c - log_phi - 0.5 * (x0 - a_n) ** 2 / sigma2
-               - 0.5 * math.log(2.0 * math.pi * sigma2))
-        return L0, lambda delta: (E(delta) - slope * delta
-                                  - 0.5 * delta * delta / sigma2)
+        return float(unnormalized.log_pdf(x0)), lambda delta: (
+            E(delta) - slope * delta - 0.5 * delta * delta / sigma2)
 
     # L' = t - h(y) - (y - a_n)/sigma2 decreases; the peak sits near a_n
     def hd(y: float) -> tuple[float, float]:
         h, h1 = d.h_pair(y)
         return h + (y - a_n) / sigma2, h1 + 1.0 / sigma2
 
-    log_z = moments(hd, td.t, centered, a_n).log_z
-    return SecondOrderReference(density=d, n=n, a_n=a_n, t=td.t,
-                                log_phi=log_phi, sigma2=sigma2, log_norm=log_z)
+    return replace(unnormalized,
+                   log_norm=moments(hd, td.t, centered, a_n).log_z)
 
 
 # ---------------------------------------------------------------------------

@@ -331,26 +331,25 @@ class LightTailDensity:
         return centered
 
     def log_pdf(self, x):
-        if isinstance(x, float):
-            # the scalar path, equal to the 0-d array path bit for bit
-            if x < 0.0:
-                raise DomainError("density is supported on x >= 0")
-            out = self.log_c - self.g_scalar(x)
-            return -math.inf if math.isnan(out) else out
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0):
-            raise DomainError("density is supported on x >= 0")
-        with np.errstate(invalid="ignore"):
-            out = self.log_c - self.g(x)
-        out = np.where(np.isnan(out), -np.inf, out)
-        return out[()] if out.ndim == 0 else out
+        return log_density(x, lambda x: self.log_c - self.g(x))
 
     def pdf(self, x):
-        out = np.exp(self.log_pdf(x))
-        return out
+        return np.exp(self.log_pdf(x))
 
     def __repr__(self) -> str:  # keep reprs short in test output
         return f"LightTailDensity({self.name})"
+
+
+def log_density(x, log_f: Callable[[np.ndarray], np.ndarray]):
+    """log_f on the float array of x, NaN read as -inf (a 0-d result as a
+    scalar): a log density on x >= 0.  Raises DomainError where x < 0."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0):
+        raise DomainError("density is supported on x >= 0")
+    with np.errstate(invalid="ignore"):
+        out = log_f(x)
+    out = np.where(np.isnan(out), -np.inf, out)
+    return out[()] if out.ndim == 0 else out
 
 
 def density_from_terms(terms: Sequence[GTerm], *,

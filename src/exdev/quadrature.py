@@ -12,11 +12,14 @@ depend on the size of L.  The trapezoid converges exponentially for smooth
 integrands with fast decay (Trefethen & Weideman 2014, SIAM Rev. 56:385),
 and the same nodes at step 2h give its error estimate.  Where the integrand
 has a kink or jump at x = 0 inside the window, the trapezoid runs in
-v = log x instead.  At t = 0 its mass is a density's normalizer.
+v = log x instead.  At t = 0 its mass is a density's normalizer.  A rule
+also returns its center x0 and its log-mass log_z - L(x0), formed without
+L(x0), from which `tilting.TiltedDensity` writes its density at any level.
 
 `solve_increasing`, safeguarded Newton on an increasing f and its slope, is
-the package's one root solver: every tilt peak (`exponent_peak`, hence psi)
-and every tilt with m(t) = a (`tilting.invert_m`, the level-set tilt).
+the package's one root solver: every tilt peak (`exponent_peak`, hence psi),
+every tilt with m(t) = a (`tilting.invert_m`, the level-set tilt) and both
+window cuts of a sampler table (`tables.build_cdf_table`).
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .errors import BracketFail, Divergent, NonMonotone, NumericalError
 
 # exp(-690) is still representable; past ~745 it underflows to 0.
 DROP = 690.0
-BISECT_ITERS = 80
 
 # the moment trapezoids: node step H in standard units (1/sqrt(-L'') at
 # the rule's center), the tolerance on the h-versus-2h difference, the
@@ -56,28 +58,17 @@ Centered = Callable[[float], tuple[float, Callable[[np.ndarray], np.ndarray]]]
 Increasing = Callable[[float], tuple[float, float]]
 
 
-def bisect_drop(L: Callable[[float], float], x_in: float, x_out: float,
-                target: float) -> float:
-    """Point between x_in (L >= target) and x_out (L < target) where L crosses."""
-    for _ in range(BISECT_ITERS):
-        mid = 0.5 * (x_in + x_out)
-        if mid == x_in or mid == x_out:
-            break
-        if L(mid) >= target:
-            x_in = mid
-        else:
-            x_out = mid
-    return x_out
-
-
 @dataclass(frozen=True)
 class LogMoments:
-    """Normalizer and first three central moments of exp(L(x)) on [0, inf)."""
+    """Normalizer, first three central moments, center x0 and log_mass =
+    log_z - L(x0) (formed without L(x0)) of exp(L(x)) on [0, inf)."""
 
     log_z: float
     mean: float
     var: float
     mu3: float
+    x0: float
+    log_mass: float
 
 
 def moments(hd: Increasing, t: float, centered: Centered,
@@ -140,7 +131,7 @@ def _x_rule(centered: Centered, x_peak: float,
     else:
         return None
     delta = np.arange(j_lo, j_hi + 1) * step
-    return _rule(L0 + math.log(step), x_peak, delta, E(delta), j_lo)
+    return _rule(L0, math.log(step), x_peak, delta, E(delta), j_lo)
 
 
 def _log_rule(centered: Centered, x0: float,
@@ -167,7 +158,7 @@ def _log_rule(centered: Centered, x0: float,
     if j_hi is None or j_lo is None:
         return None
     v = np.arange(-j_lo, j_hi + 1) * step
-    return _rule(L0 + math.log(x0 * step), x0, x0 * np.expm1(v), F(v), -j_lo)
+    return _rule(L0, math.log(x0 * step), x0, x0 * np.expm1(v), F(v), -j_lo)
 
 
 def _reach(probe: np.ndarray, drop: float) -> Optional[int]:
@@ -177,17 +168,18 @@ def _reach(probe: np.ndarray, drop: float) -> Optional[int]:
     return math.ceil(REACH[below.argmax()] / H) if below.any() else None
 
 
-def _rule(log_unit: float, x0: float, delta: np.ndarray, log_w: np.ndarray,
-          j_lo: int) -> Optional[LogMoments]:
+def _rule(L0: float, log_step: float, x0: float, delta: np.ndarray,
+          log_w: np.ndarray, j_lo: int) -> Optional[LogMoments]:
     """LogMoments of the nodes x0 + delta (node j_lo first) with
-    trapezoid weights exp(log_w) in units of exp(log_unit), or None when the
-    rule and its step-2h half, the nodes of even j, differ by more than
-    TRAP_TOL (z and s2 relative, the mean in units of s, mu3 in units of
-    s^3)."""
+    trapezoid weights exp(log_w) in units of exp(L0 + log_step), or None
+    when the rule and its step-2h half, the nodes of even j, differ by more
+    than TRAP_TOL (z and s2 relative, the mean in units of s, mu3 in units
+    of s^3)."""
     w = np.exp(log_w)
     z, mean, var, mu3 = _sums(delta, w)
     even = j_lo % 2
     z2, mean2, var2, mu3_2 = _sums(delta[even::2], w[even::2])
+    log_unit = L0 + log_step
     if not (var > 0.0 and math.isfinite(var) and z > 0.0
             and math.isfinite(log_unit)):
         return None
@@ -197,7 +189,8 @@ def _rule(log_unit: float, x0: float, delta: np.ndarray, log_w: np.ndarray,
     if not err <= TRAP_TOL:
         return None
     return LogMoments(log_z=log_unit + math.log(z), mean=x0 + float(mean),
-                      var=float(var), mu3=float(mu3))
+                      var=float(var), mu3=float(mu3), x0=x0,
+                      log_mass=log_step + math.log(z))
 
 
 def _sums(delta: np.ndarray, w: np.ndarray):
@@ -213,7 +206,7 @@ def _sums(delta: np.ndarray, w: np.ndarray):
 
 def solve_increasing(fd: Increasing, target: float, x0: float, *,
                      lo: float, at_lo: tuple[float, float], x_max: float,
-                     rtol: float) -> float:
+                     rtol: float, xtol: float = 0.0) -> float:
     """x in [lo, x_max] with f(x) = target, by Newton on fd(x) = (f(x),
     f'(x)) for an increasing f.  When f(x0) < target it starts from x0 in
     the bracket (x0, 2 x0), whose top is evaluated, and doubled up to x_max
@@ -221,9 +214,10 @@ def solve_increasing(fd: Increasing, target: float, x0: float, *,
     the end of (lo, x0) closer to target, at_lo standing in for fd(lo).  A
     step that leaves the bracket bisects it; NaN counts as below target.
     Returns once |f - target| <= rtol |target| or the step or the checked
-    bracket is at most STEP_TOL of x.  Raises NonMonotone if f falls as the
-    bracket grows, Divergent naming f(x_max) if that is below target, and
-    BracketFail if NEWTON_ITERS steps leave a residual above 1e-9 relative.
+    bracket is at most max(STEP_TOL |x|, xtol).  Raises NonMonotone if f
+    falls as the bracket grows, Divergent naming f(x_max) if that is below
+    target, and BracketFail if NEWTON_ITERS steps leave a residual above
+    1e-9 relative.
     """
     x, (f, slope) = x0, fd(x0)
     if not f >= target:
@@ -240,8 +234,8 @@ def solve_increasing(fd: Increasing, target: float, x0: float, *,
         else:
             lo = max(lo, x)
         step = (target - f) / slope if slope > 0.0 else math.nan
-        if (abs(step) <= STEP_TOL * abs(x)
-                or checked and hi - lo <= STEP_TOL * abs(x)):
+        tol = max(STEP_TOL * abs(x), xtol)
+        if abs(step) <= tol or checked and hi - lo <= tol:
             return x
         x_new = x + step
         if not (lo < x_new < hi or checked):

@@ -1,10 +1,13 @@
 """Monotone CDF tables for fast inverse-transform sampling.
 
-A table is built once from a log density by dense evaluation around the peak
-(refined there, geometric in the tails), cumulative trapezoid integration and
-a monotone PCHIP interpolant of x as a function of F (Fritsch & Carlson 1980),
-its coefficients formed in numpy with the arithmetic of scipy's
-PchipInterpolator.  Only the interpolant's cubic coefficients are kept.
+A table is built once from a log density and its slope: the window is cut
+on each side by the package's one root solver (`quadrature.solve_increasing`)
+where the density falls by exp(-TAIL_DROP), then dense evaluation around the
+peak (refined there, geometric in the tails), cumulative trapezoid
+integration and a monotone PCHIP interpolant of x as a function of F
+(Fritsch & Carlson 1980), its coefficients formed in numpy with the
+arithmetic of scipy's PchipInterpolator.  Only the interpolant's cubic
+coefficients are kept.
 
 Inversion uses a guide table (Chen & Asau 1974; Devroye 1986, sec. III.2.4):
 `guide[j]` is the knot interval holding j/K for K = 2^14 buckets, a power of
@@ -36,6 +39,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -44,7 +48,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .errors import TableBuildFail
-from .quadrature import bisect_drop
+from .quadrature import STEP_TOL, solve_increasing
 
 __all__ = ["CdfTable", "build_cdf_table"]
 
@@ -269,40 +273,37 @@ def _pchip_coefficients(F: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], x[:-1] + 0.0))
 
 
-def build_cdf_table(log_pdf: Callable, *, peak: float,
-                    scale: float) -> CdfTable:
-    """Build a CdfTable from a normalized log density on [0, inf).
+def build_cdf_table(log_pdf: Callable, slope: Callable[[float], float], *,
+                    peak: float, scale: float) -> CdfTable:
+    """Build a CdfTable from a normalized log density on [0, inf) and its
+    slope d log_pdf / dx on one float.
 
-    peak and scale are hints: the mode location and a dispersion estimate.
-    The tails are cut where the density has fallen by exp(-TAIL_DROP)
-    relative to the mode (mass beyond is far below every tolerance used
-    downstream).
+    peak and scale are hints: a point near the mode (callers pass the mean)
+    and a dispersion estimate.  Each side is cut where the density has
+    fallen by exp(-TAIL_DROP) from its value at peak (mass beyond is far
+    below every tolerance used downstream) by one solve_increasing call from
+    a Gaussian's cut, out to the largest double on the right.  log_pdf may
+    resolve x only to the spacing of doubles near peak (a centered form), so
+    the left cut is solved to STEP_TOL * peak, and is 0 if it lies below.
     """
     if not (math.isfinite(peak) and math.isfinite(scale) and scale > 0.0):
         raise TableBuildFail("bad peak/scale hints")
-
-    def L(x: float) -> float:
-        v = float(log_pdf(x))
-        return v if math.isfinite(v) else -math.inf
-
-    M = L(peak)
+    M = float(log_pdf(peak))
     if not math.isfinite(M):
         raise TableBuildFail("log density not finite at the supplied peak")
-    target = M - TAIL_DROP
 
-    x_lo = 0.0 if L(0.0) >= target else bisect_drop(L, peak, 0.0, target)
-    # callers may pass the mean as the peak hint, so L can still rise just
-    # right of it: no divergence check here
-    w = max(scale, 1e-8)
-    x = peak
-    for _ in range(200):
-        if L(peak + w) < target:
-            break
-        x = peak + w
-        w *= 2.0
-        if peak + w > 1e15:
-            raise TableBuildFail("density does not decay on the right")
-    x_hi = bisect_drop(L, x, peak + w, target)
+    def rise(x: float, sign: float = 1.0) -> tuple[float, float]:
+        return sign * (float(log_pdf(x)) - M), sign * slope(x)
+
+    guess = math.sqrt(2.0 * TAIL_DROP) * scale
+    floor = STEP_TOL * peak
+    at_floor = rise(floor)
+    x_lo = 0.0 if at_floor[0] >= -TAIL_DROP else solve_increasing(
+        rise, -TAIL_DROP, max(peak - guess, 0.5 * peak), lo=floor,
+        at_lo=at_floor, x_max=peak, rtol=0.0, xtol=floor)
+    x_hi = solve_increasing(
+        lambda x: rise(x, -1.0), TAIL_DROP, peak + guess, lo=peak,
+        at_lo=(0.0, -slope(peak)), x_max=sys.float_info.max, rtol=0.0)
 
     grid = _knot_layout(peak, scale, x_lo, x_hi, KNOTS)
     if grid.size < 32:
@@ -319,8 +320,6 @@ def build_cdf_table(log_pdf: Callable, *, peak: float,
 
     keep = np.concatenate([[True], np.diff(F) > 0.0])
     xs, Fs = grid[keep], F[keep]
-    if Fs[-1] < 1.0:
-        Fs = Fs / Fs[-1]
     if xs.size < 16:
         raise TableBuildFail("too few strictly increasing CDF knots")
     c = _pchip_coefficients(Fs, xs)

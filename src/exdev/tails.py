@@ -93,7 +93,8 @@ def tail_prob(d: LightTailDensity, n: int, a: float) -> TailEstimate:
 
 def sampler_tilted(td: TiltedDensity) -> CdfTable:
     """Inverse-CDF table for the tilted density, usable for bulk iid draws."""
-    return build_cdf_table(td.log_pdf, peak=td.m, scale=td.s)
+    slope = lambda x: td.t - td.base.g_prime_scalar(x)
+    return build_cdf_table(td.log_pdf, slope, peak=td.m, scale=td.s)
 
 
 @dataclass(frozen=True)

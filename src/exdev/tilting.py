@@ -7,9 +7,11 @@ log phi; finite differences exist only as cross-checks in the test suite.
 The tilted exponent enters as its centered form about x0: (t - g'(x0)) delta
 minus each term's excess g_i(x0 + delta) - g_i(x0) - g_i'(x0) delta
 (`LightTailDensity.centered`), so the cumulants keep their digits where t*x is
-huge.  For large t the comparison scale is the inverse function
-psi = h^{-1}: m ~ psi, s2 ~ psi', with the third-moment ratio recorded
-against the reference constant (M6-3)/2 as a diagnostic.
+huge, and so does the density, E(x - x0) minus the rule's centered log-mass
+(`TiltedDensity.log_pdf`), which the sampler table and every pdf read.  For
+large t the comparison scale is the inverse function psi = h^{-1}: m ~ psi,
+s2 ~ psi', with the third-moment ratio recorded against the reference
+constant (M6-3)/2 as a diagnostic.
 
 The peak equation h(x) = t runs on the scalar (g', g'') path (`h_pair`)
 and the guess h(a) of invert_m on `g_prime_scalar`; both equal the array
@@ -26,7 +28,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import quadrature
-from .densities import X_MIN_REGULAR, LightTailDensity, psi_derivatives
+from .densities import (X_MIN_REGULAR, LightTailDensity, log_density,
+                        psi_derivatives)
 from .errors import Divergent, DomainError, NotSolvable, OutOfRange
 
 __all__ = [
@@ -54,6 +57,10 @@ NEGLECT_POINTS = 13
 class TiltedDensity:
     """pi(x) = exp(t x) p(x) / phi(t), with its cumulants attached.
 
+    log pi(x) = E(x - x0) - log_mass, E the tilted exponent centered at
+    x0, the center of the rule that integrated it (`quadrature.LogMoments`):
+    no term of size t x is formed, so the law keeps its digits at any level.
+
     Immutable; instances can be shared freely across threads.
     """
 
@@ -63,19 +70,19 @@ class TiltedDensity:
     m: float
     s2: float
     mu3: float
+    x0: float
+    log_mass: float
 
     @property
     def s(self) -> float:
         return math.sqrt(self.s2)
 
     def log_pdf(self, x):
-        # a float takes the base's scalar path, equal to its 0-d path
-        tx = self.t * (x if isinstance(x, float) else np.asarray(x, dtype=float))
-        return tx + self.base.log_pdf(x) - self.log_phi
+        E = self.base.centered(self.t)(self.x0)[1]
+        return log_density(x, lambda x: E(x - self.x0) - self.log_mass)
 
     def pdf(self, x):
-        out = np.exp(self.log_pdf(x))
-        return out
+        return np.exp(self.log_pdf(x))
 
     def __repr__(self) -> str:
         return f"TiltedDensity({self.base.name}, t={self.t:.6g}, m={self.m:.6g})"
@@ -87,7 +94,8 @@ def _cumulants_cached(d: LightTailDensity, t: float) -> TiltedDensity:
     mom = quadrature.moments(d.h_pair, t, d.centered(t),
                              X_MIN_REGULAR)
     return TiltedDensity(base=d, t=t, log_phi=d.log_c + mom.log_z,
-                         m=mom.mean, s2=mom.var, mu3=mom.mu3)
+                         m=mom.mean, s2=mom.var, mu3=mom.mu3, x0=mom.x0,
+                         log_mass=mom.log_mass)
 
 
 def cumulants(d: LightTailDensity, t: float) -> TiltedDensity:

@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from exdev import cli
+from exdev import cli, tilt_to_mean, weibull
 from exdev.cli import build_parser, main
 from exdev.conditional import epsilon_schedule
 from exdev.errors import ValidationError
@@ -284,6 +284,23 @@ def test_levelset_on_positive_marginal_runs(args, capsys):
                               "--count", "4000", *args], capsys)
     assert code == 0, err
     assert json.loads(out)["results"]["acceptance"] > 0.0
+
+
+@pytest.mark.parametrize("a", ["1e12", "1e13", "1e15", "1e16"])
+def test_levelset_draws_are_right_at_high_levels(a, capsys):
+    # the tilted law in centered form: the draws' mean and spread are those
+    # of the law, where the uncentered form gave f_std 3.6 s at 1e12 and
+    # exited 3 with TABLE_BUILD_FAIL at 1e13 and 1e16
+    count = 20_000
+    code, out, err = run_cli(["levelset", "--density", "weibull", "--k",
+                              "1.5", "--f", "identity", "--marginal",
+                              "positive", "--a", a, "--count", str(count),
+                              "--seed", "0"], capsys)
+    assert code == 0, err
+    results = json.loads(out)["results"]
+    s = tilt_to_mean(weibull(1.5), float(a)).s
+    assert abs(results["f_mean"] - float(a)) < 4.0 * s / count ** 0.5
+    assert abs(results["f_std"] / s - 1.0) < 0.02
 
 
 def test_levelset_window_comes_from_the_terms(capsys):

@@ -544,6 +544,16 @@ def test_second_order_normalized(weibull25):
     assert mass == pytest.approx(1.0, abs=1e-7)
 
 
+@pytest.mark.parametrize("a", [1e4, 1e8, 1e10, 1e12])
+def test_second_order_normalized_at_high_levels(a):
+    # it reads the tilted law's centered log-density; an uncentered copy
+    # integrated to 0.91 at a = 1e10 and to 2.6e51 at 1e12
+    so = second_order_reference(weibull(1.5), 64, a)
+    s = so.td.s
+    mass = simpson_integral(so.pdf, a - 40.0 * s, a + 40.0 * s)
+    assert mass == pytest.approx(1.0, abs=1e-9)
+
+
 def test_second_order_approaches_tilted(weibull25):
     # TV(second-order, tilted) by quadrature must shrink as n grows
     a = 2.0
@@ -769,6 +779,16 @@ def test_location_law_matches_dense_cdf(weibull3, a):
     dense = np.max(np.abs(F / F[-1] - ndtr((x - a) / td.s)))
     rep = location_law_check(weibull3, a)
     assert abs(rep.ks[0] - dense) < 1e-6
+
+
+@pytest.mark.parametrize("k, a", [(1.5, 1e6), (1.5, 1e8), (1.5, 1e10),
+                                  (1.5, 1e12), (1.5, 1e13), (1.5, 1e14),
+                                  (2.5, 1e4), (2.5, 1e5), (2.5, 1e6)])
+def test_location_law_at_high_levels_sits_on_the_table_floor(k, a):
+    # the table's own floor from its knots is about 1.3e-6; the uncentered
+    # law read 1.9e-3 at 1e10 and 0.375 at 1e12 (k = 1.5), 3.6e-3 at 1e6
+    # (k = 2.5), and failed to build at 1e13
+    assert location_law_check(weibull(k), a).ks[0] <= 2e-6
 
 
 def test_location_law_k2_variance_order_one(weibull2):

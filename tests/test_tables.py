@@ -1,10 +1,11 @@
 """Guide-table inverse of the CDF table: its coefficients are scipy's PCHIP
 coefficients and its draws the PCHIP interpolant's, bit for bit, at the
 knots, in the wide tail buckets and at the ends of [0, 1], for every block
-size; a table built through float probes is the 0-d array path's; its
-gather indices stay in range at any level; rows streamed in blocks, on any
-number of threads, are the rows of one long draw, and leave the generator
-where that draw would."""
+size; its window is cut where the density has fallen by exp(-TAIL_DROP),
+at 0 where that lies within STEP_TOL of the origin; its gather indices stay
+in range at any level; rows streamed in blocks, on any number of threads,
+are the rows of one long draw, and leave the generator where that draw
+would."""
 
 import itertools
 import sys
@@ -16,6 +17,7 @@ from scipy.interpolate import PchipInterpolator
 import exdev
 from exdev import sampler_tilted, tilt_to_mean
 from exdev import tables
+from exdev.quadrature import STEP_TOL
 from exdev.tables import BLOCK, GUIDE_BUCKETS
 
 TABLES = [("weibull", 2.0, 3.0), ("weibull", 2.5, 3.0),
@@ -78,19 +80,31 @@ def test_pchip_port_on_non_monotone_data():
                                       _bits(_pchip_c(F, x)))
 
 
-@pytest.mark.parametrize("kind, k, a", TABLES)
-def test_float_probes_build_the_array_path_table(kind, k, a):
-    # build_cdf_table probes the log density one float at a time; those
-    # probes take the scalar path, and the table is the one that 0-d arrays
-    # give
+@pytest.mark.parametrize("kind, k, a", TABLES + [("weibull", 1.5, 1e16)])
+def test_window_ends_where_the_density_falls_by_tail_drop(kind, k, a,
+                                                          monkeypatch):
+    # each cut lies within 1e-12 of the mean, relative, from a root of
+    # log f(x) = log f(mean) - TAIL_DROP, or is 0 when the density is above
+    # that level within STEP_TOL of the origin
     d = exdev.weibull(k) if kind == "weibull" else exdev.double_exp()
     td = tilt_to_mean(d, a)
-    fast = sampler_tilted(td)
-    slow = tables.build_cdf_table(lambda x: td.log_pdf(np.asarray(x)),
-                                  peak=td.m, scale=td.s)
-    for name in ("x", "F", "c"):
-        np.testing.assert_array_equal(_bits(getattr(fast, name)),
-                                      _bits(getattr(slow, name)))
+    window = []
+    knot_layout = tables._knot_layout
+
+    def layout(peak, scale, lo, hi, knots):
+        window.extend((lo, hi))
+        return knot_layout(peak, scale, lo, hi, knots)
+
+    monkeypatch.setattr(tables, "_knot_layout", layout)
+    assert sampler_tilted(td).x[0] == window[0]
+    cut = float(td.log_pdf(td.m)) - tables.TAIL_DROP
+    assert window[0] < td.m < window[1]
+    for x, side in zip(window, (1.0, -1.0)):
+        if x == 0.0:
+            assert td.log_pdf(STEP_TOL * td.m) >= cut
+        else:
+            tol = side * 1e-12 * max(x, td.m)
+            assert td.log_pdf(x - tol) < cut < td.log_pdf(x + tol)
 
 
 def test_ppf_matches_pchip_at_special_points(table):

@@ -197,6 +197,15 @@ def test_tilted_density_normalized_with_stated_mean(weibull3):
     assert mean == pytest.approx(td.m, rel=1e-9)
 
 
+@pytest.mark.parametrize("a", [1e4, 1e8, 1e10, 1e12])
+def test_tilted_density_normalized_at_high_levels(a):
+    # the centered log-density keeps its digits where t x is huge; the
+    # uncentered one integrated to 1.06 at a = 1e10 and to 2e59 at 1e12
+    td = tilt_to_mean(weibull(1.5), a)
+    mass = simpson_integral(td.pdf, td.m - 40.0 * td.s, td.m + 40.0 * td.s)
+    assert mass == pytest.approx(1.0, abs=1e-9)
+
+
 def test_tilt_mean_monotone_in_t(weibull2):
     # negative tilts are admissible and push the mean below the base mean
     ms = [cumulants(weibull2, t).m for t in (-0.5, 0.0, 0.5)]
