@@ -14,8 +14,8 @@ from .tilting import (AbelianReport, GrowthReport, TiltedDensity,
                       abelian_check, cumulants, growth_report, invert_m,
                       log_mgf, self_neglect_check, tilt_to_mean)
 from .edgeworth import (ConvolutionTable, EdgeworthEval, GridSpec,
-                        NormalizedTiltedDensity, convolve_oracle,
-                        edgeworth_density, z1_centered, z1_raw)
+                        convolve_oracle, edgeworth_density, z1_centered,
+                        z1_raw)
 from .tails import (ISOracleResult, TailEstimate, rate_I, sampler_tilted,
                     tail_prob, tail_prob_is_oracle)
 from .conditional import (ConditionDescriptor, ConditionalSample, DLPWindow,
@@ -47,7 +47,7 @@ __all__ = [
     "self_neglect_check", "tilt_to_mean",
     # edgeworth
     "ConvolutionTable", "EdgeworthEval", "GridSpec",
-    "NormalizedTiltedDensity", "convolve_oracle", "edgeworth_density",
+    "convolve_oracle", "edgeworth_density",
     "z1_centered", "z1_raw",
     # tails
     "ISOracleResult", "TailEstimate", "rate_I", "sampler_tilted",

@@ -439,7 +439,6 @@ def marginal_tv(sample: ConditionalSample, reference,
     for Gibbs output, rows otherwise) with replacement and sums their masses.
     Raises TooFewSamples below 1000 values or MIN_TV_UNITS units.
     """
-    from scipy.sparse import csr_array  # not on `import exdev`
     ref_pdf = reference.pdf if hasattr(reference, "pdf") else reference
     blocks, weights = sample.tv_blocks()
     vals = np.sort(blocks, axis=1)  # bins in runs, percentiles partition fast
@@ -458,37 +457,31 @@ def marginal_tv(sample: ConditionalSample, reference,
     ref_mass = _reference_bin_masses(ref_pdf, edges)
     ref_out = max(0.0, 1.0 - ref_mass.sum())
 
-    # column u of per_bin holds unit u's bin masses, one entry per run of a
-    # slot in its sorted values; slots 0 (below lo) and nb + 1 (from hi on)
-    # both fold into bin nb, the mass outside the range
+    # one entry (bin, unit, mass) per run of a slot in a unit's sorted
+    # values, unit-major; slots 0 (below lo) and nb + 1 (from hi on) both
+    # fold into bin nb, the mass outside the range
     key = np.searchsorted(edges, vals, side="right")
     key += (nb + 2) * np.arange(units)[:, None]
     key = key.ravel()
     first = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
     unit, slot = np.divmod(key[first], nb + 2)
     mass = np.diff(first, append=size) * weights[unit]
-    per_bin = csr_array((mass, ((slot - 1) % (nb + 1), unit)),
-                        shape=(nb + 1, units))
+    bins = (slot - 1) % (nb + 1)
     unit_mass = np.bincount(unit, mass, units)
     del vals, key  # the bootstrap needs no per-value array
 
     def tv_of(copies):
-        # TV of each replicate r, which draws unit u copies[r, u] times; the
-        # rows are made C-ordered so that each sums as a 1-D array would
-        hist = np.ascontiguousarray((per_bin @ copies.T).T)
-        p = hist / (copies * unit_mass).sum(axis=1)[:, None]
-        return 0.5 * (np.abs(p[:, :nb] - ref_mass).sum(axis=1)
-                      + p[:, nb] + ref_out)
+        # TV of the replicate that draws unit u copies[u] times; each bin
+        # adds its entries' products in unit order
+        p = (np.bincount(bins, mass * copies[unit], nb + 1)
+             / (copies * unit_mass).sum())
+        return 0.5 * (np.abs(p[:nb] - ref_mass).sum() + p[nb] + ref_out)
 
-    tv = tv_of(np.ones((1, units)))[0]
-    # replicates share one sparse product in blocks of at most 2^16 counts
+    tv = tv_of(np.ones(units))
     rng = np.random.default_rng(seed)
-    block = max(1, 2 ** 16 // units)
-    draws = []
-    for start in range(0, TV_BOOTSTRAP, block):
-        copies = [np.bincount(rng.integers(0, units, units), minlength=units)
-                  for _ in range(min(block, TV_BOOTSTRAP - start))]
-        draws.extend(tv_of(np.array(copies, dtype=float)))
+    draws = [tv_of(np.bincount(rng.integers(0, units, units),
+                               minlength=units).astype(float))
+             for _ in range(TV_BOOTSTRAP)]
     lo_ci, hi_ci = np.percentile(draws, [2.5, 97.5])
     return TVEstimate(tv=float(tv), ci_low=float(min(lo_ci, tv)),
                       ci_high=float(min(max(hi_ci, tv), 1.0)), bins=nb,

@@ -1,16 +1,16 @@
-"""Third-order expansion of the standardized n-fold tilted law, with an FFT
-self-convolution oracle.
+"""Third-order expansion of the standardized n-fold tilted law, with an
+exact table of that law from its characteristic function.
 
-The normalized tilted density is pibar(x) = s * pi(s x + a) where a = m(t)
-and s = s(t); it has mean 0 and variance 1 by construction.  The density of
-(sum of n iid copies)/sqrt(n) is approximated by
+With a = m(t) and s = s(t), the density of (sum of n iid copies - n a) /
+(s sqrt(n)) is approximated by
 
     rho_n(x) = phi(x) * (1 + mu3/(6 sqrt(n) s^3) * (x^3 - 3x))
 
-and checked against an exact discrete self-convolution computed by powering
-the sampled spectrum (binary squaring, log2(n) passes).  The spectrum power
-runs on a sqrt(n)-widened grid with the output point count, so the final
-rescale x -> sqrt(n) x lands exactly on grid nodes.
+and checked against `convolve_oracle`, which inverts phi(u / sqrt(n))^n,
+the characteristic function of the standardized law summed over the nodes
+of its moment trapezoid, by one irfft.  Nothing is sampled on a grid, so a
+jump or kink of pi_t at 0 costs no edge error; the rule's h-versus-2h check
+says how far in frequency phi is known.
 """
 
 from __future__ import annotations
@@ -21,35 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, MassLeak
-from .tilting import TiltedDensity
+from .quadrature import TRAP_TOL
+from .tilting import TiltedDensity, moment_rule
 
 __all__ = [
-    "NormalizedTiltedDensity", "EdgeworthEval", "GridSpec", "ConvolutionTable",
+    "EdgeworthEval", "GridSpec", "ConvolutionTable",
     "edgeworth_density", "convolve_oracle", "z1_raw", "z1_centered",
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-
-
-@dataclass(frozen=True, eq=False)
-class NormalizedTiltedDensity:
-    """x -> s * pi(s x + a): the tilted law standardized to mean 0, var 1."""
-
-    tilted: TiltedDensity
-
-    @property
-    def a(self) -> float:
-        return self.tilted.m
-
-    @property
-    def s(self) -> float:
-        return self.tilted.s
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        y = self.s * x + self.a
-        out = np.where(y >= 0.0, self.s * self.tilted.pdf(np.maximum(y, 0.0)), 0.0)
-        return out[()] if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -113,71 +93,62 @@ class ConvolutionTable:
         return out[()] if np.ndim(x) == 0 else out
 
 
-def _spectrum_power(F: np.ndarray, n: int) -> np.ndarray:
-    """F**n elementwise by binary squaring (log2 n complex squarings)."""
-    result = None
-    base = F
-    k = n
-    while k:
-        if k & 1:
-            result = base.copy() if result is None else result * base
-        k >>= 1
-        if k:
-            base = base * base
-    return result
-
-
 def convolve_oracle(td: TiltedDensity, n: int,
                     grid: GridSpec = GridSpec()) -> ConvolutionTable:
-    """Exact discretized density of (S_n - n a)/(s sqrt(n)) for the tilt td.
+    """Exact density of (S_n - n m)/(s sqrt(n)) for the tilt td, on the grid.
 
-    The normalized single-draw density is sampled on a sqrt(n)-wide grid
-    (same point count as the output), its real FFT is powered by binary
-    squaring, and the inverse transform is read off at sqrt(n)-rescaled
-    nodes, which are exactly the output nodes.  Raises MassLeak when the
-    window cannot hold the mass even after automatic widening.
+    The standardized law has the characteristic function phi(u) = sum_j
+    w_j exp(i u z_j) / sum_j w_j over the nodes z_j = (delta_j - offset)/s
+    of td's moment rule (`tilting.moment_rule`).  phi(u/sqrt(n))^n is
+    taken at the grid's frequencies u = k pi/half_width, phi by the
+    recurrence e^{i(k+1)du z} = e^{ik du z} e^{i du z}, until |phi|^n <
+    1e-20 or the rule and its step-2h half differ by more than TRAP_TOL,
+    and one irfft inverts it (Fourier-series inversion; Abate & Whitt 1992,
+    Queueing Systems 10:5).  n = 1 is the standardized density sampled on
+    the grid.  Raises MassLeak when the rule stops with |phi|^n above 1e-10
+    (a jump or kink of pi_t at 0 at small n) or when the table keeps
+    visible mass in its outer fringes (the window is too narrow and the sum
+    wraps).
     """
-    if not 1 <= n <= 1024:
-        raise DomainError("oracle supports 1 <= n <= 1024")
-    ntd = NormalizedTiltedDensity(td)
-    root_n = math.sqrt(n)
-    half = grid.half_width
+    if n < 1:
+        raise DomainError("n must be >= 1")
     N = grid.points
-    for _ in range(4):
-        dx_out = 2.0 * half / N
-        idx = np.arange(N) - N // 2
-        x_out = idx * dx_out
-        dx_sum = dx_out * root_n
-        x_wide = idx * dx_sum
-        fbar = ntd.pdf(x_wide)
-        peak = float(fbar.max())
-        if not peak > 0.0:
-            raise MassLeak("single-step density vanished on the window")
-        # truncation shows up as visible density at the window edges; the
-        # guard also widens when the trapezoid mass misses 1 by over 1e-4,
-        # as a jump or x^(1/2) kink at x = 0 does (an open ROADMAP fault,
-        # "The FFT table at every admitted level"); less is renormalized
-        fringe = max(2, N // 512)
-        edge_val = max(float(fbar[:fringe].max()), float(fbar[-fringe:].max()))
-        mass = np.trapezoid(fbar, x_wide)
-        if edge_val > 1e-12 * peak or abs(mass - 1.0) > 1e-4:
-            half *= 1.5
-            continue
-        spec = np.fft.rfft(np.fft.ifftshift(fbar)) * dx_sum
-        powered = _spectrum_power(spec, n)
-        fsum = np.fft.fftshift(np.fft.irfft(powered, n=N)) / dx_sum
-        rho = root_n * fsum
-        edge = max(2, N // 64)
-        edge_mass = (np.trapezoid(np.abs(rho[:edge]), x_out[:edge])
-                     + np.trapezoid(np.abs(rho[-edge:]), x_out[-edge:]))
-        if edge_mass > 1e-9:
-            half *= 1.5
-            continue
-        total = np.trapezoid(rho, x_out)
-        if not total > 0.0:
-            raise MassLeak("self-convolution lost its mass")
-        return ConvolutionTable(n=n, x=x_out, density=rho / total)
-    raise MassLeak("window too narrow for the standardized sum even after widening")
+    dx = 2.0 * grid.half_width / N
+    x = (np.arange(N) - N // 2) * dx
+    if n == 1:
+        y = td.s * x + td.m
+        rho = np.where(y >= 0.0, td.s * td.pdf(np.maximum(y, 0.0)), 0.0)
+    else:
+        rule = moment_rule(td.base, td.t)
+        w, even = rule.w, rule.even
+        z = (rule.delta - rule.offset) / td.s
+        step = np.exp(1j * math.pi / (grid.half_width * math.sqrt(n)) * z)
+        wave = np.ones_like(step)
+        mass, mass_half = w.sum(), w[even::2].sum()
+        phi = np.zeros(N // 2 + 1, dtype=complex)
+        phi[0] = 1.0
+        for k in range(1, N // 2 + 1):
+            wave *= step
+            terms = w * wave
+            phi_k = terms.sum() / mass
+            power = abs(phi_k) ** n
+            if abs(phi_k - terms[even::2].sum() / mass_half) > TRAP_TOL:
+                if power > 1e-10:
+                    raise MassLeak(
+                        f"the moment rule resolves phi only while |phi|^n = "
+                        f"{power:.3g} > 1e-10 (n = {n}, a = {td.m:.6g})")
+                break
+            if power < 1e-20:
+                break
+            phi[k] = phi_k
+        rho = np.fft.fftshift(np.fft.irfft(np.conj(phi) ** n, n=N)) / dx
+    # the sum wraps around the window: visible mass in its outer fringes
+    edge = max(2, N // 64)
+    if (np.trapezoid(np.abs(rho[:edge]), x[:edge])
+            + np.trapezoid(np.abs(rho[-edge:]), x[-edge:])) > 1e-9:
+        raise MassLeak(f"the window +-{grid.half_width:g} is too narrow for "
+                       f"the standardized n = {n} sum")
+    return ConvolutionTable(n=n, x=x, density=rho)
 
 
 def z1_raw(n: int, a_n: float, y1: float, s: float) -> float:

@@ -14,7 +14,9 @@ and the same nodes at step 2h give its error estimate.  Where the integrand
 has a kink or jump at x = 0 inside the window, the trapezoid runs in
 v = log x instead.  At t = 0 its mass is a density's normalizer.  A rule
 also returns its center x0 and its log-mass log_z - L(x0), formed without
-L(x0), from which `tilting.TiltedDensity` writes its density at any level.
+L(x0), from which `tilting.TiltedDensity` writes its density at any level,
+and its nodes, weights and step-2h half, over which
+`edgeworth.convolve_oracle` sums the characteristic function and checks it.
 
 `solve_increasing`, safeguarded Newton on an increasing f and its slope, is
 the package's one root solver: every tilt peak (`exponent_peak`, hence psi),
@@ -58,10 +60,12 @@ Centered = Callable[[float], tuple[float, Callable[[np.ndarray], np.ndarray]]]
 Increasing = Callable[[float], tuple[float, float]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogMoments:
     """Normalizer, first three central moments, center x0 and log_mass =
-    log_z - L(x0) (formed without L(x0)) of exp(L(x)) on [0, inf)."""
+    log_z - L(x0) (formed without L(x0)) of exp(L(x)) on [0, inf); and the
+    rule that summed them: nodes x0 + delta with weights w, whose mean is
+    x0 + offset, and its step-2h half, the nodes [even::2]."""
 
     log_z: float
     mean: float
@@ -69,6 +73,10 @@ class LogMoments:
     mu3: float
     x0: float
     log_mass: float
+    delta: np.ndarray
+    w: np.ndarray
+    offset: float
+    even: int
 
 
 def moments(hd: Increasing, t: float, centered: Centered,
@@ -190,7 +198,8 @@ def _rule(L0: float, log_step: float, x0: float, delta: np.ndarray,
         return None
     return LogMoments(log_z=log_unit + math.log(z), mean=x0 + float(mean),
                       var=float(var), mu3=float(mu3), x0=x0,
-                      log_mass=log_step + math.log(z))
+                      log_mass=log_step + math.log(z), delta=delta, w=w,
+                      offset=float(mean), even=even)
 
 
 def _sums(delta: np.ndarray, w: np.ndarray):

@@ -34,8 +34,8 @@ from .errors import Divergent, DomainError, NotSolvable, OutOfRange
 
 __all__ = [
     "M6_STANDARD_NORMAL", "TiltedDensity", "AbelianReport", "GrowthReport",
-    "log_mgf", "cumulants", "density_mean", "invert_m", "tilt_to_mean",
-    "abelian_check", "self_neglect_check", "growth_report",
+    "moment_rule", "log_mgf", "cumulants", "density_mean", "invert_m",
+    "tilt_to_mean", "abelian_check", "self_neglect_check", "growth_report",
 ]
 
 # sixth moment of the standard normal; the reference third-moment constant
@@ -88,11 +88,17 @@ class TiltedDensity:
         return f"TiltedDensity({self.base.name}, t={self.t:.6g}, m={self.m:.6g})"
 
 
+def moment_rule(d: LightTailDensity, t: float) -> quadrature.LogMoments:
+    """The moment trapezoid of pi_t, nodes and weights included.  The cache
+    keeps only its scalars (a cached tilt holds no array), so a reader of
+    the nodes (`edgeworth.convolve_oracle`) runs the rule again."""
+    return quadrature.moments(d.h_pair, t, d.centered(t), X_MIN_REGULAR)
+
+
 @lru_cache(maxsize=65536)
 def _cumulants_cached(d: LightTailDensity, t: float) -> TiltedDensity:
     # d.log_c is minus this rule's log_z at t = 0, so log phi(0) is 0 exactly
-    mom = quadrature.moments(d.h_pair, t, d.centered(t),
-                             X_MIN_REGULAR)
+    mom = moment_rule(d, t)
     return TiltedDensity(base=d, t=t, log_phi=d.log_c + mom.log_z,
                          m=mom.mean, s2=mom.var, mu3=mom.mu3, x0=mom.x0,
                          log_mass=mom.log_mass)

@@ -303,6 +303,26 @@ def test_levelset_draws_are_right_at_high_levels(a, capsys):
     assert abs(results["f_std"] / s - 1.0) < 0.02
 
 
+def test_edgeworth_runs_at_an_edge_level(capsys):
+    # pi_t of double-exp at a = 1 jumps at 0; a table sampled on a widened
+    # grid exited 3 with MASS_LEAK here for every n from 8 on
+    code, out, err = run_cli(["edgeworth", "--density", "double-exp",
+                              "--mean-target", "1.0", "--n-list", "8,16"],
+                             capsys)
+    assert code == 0, err
+    assert set(json.loads(out)["results"]["sup_err_edgeworth"]) == {"8", "16"}
+
+
+def test_edgeworth_refuses_two_draws_at_an_edge_level(capsys):
+    # the n = 2 sum keeps the jump's slowly decaying spectrum past what the
+    # moment rule resolves: refused with the |phi|^n left at the cut
+    code, _, err = run_cli(["edgeworth", "--density", "double-exp",
+                            "--mean-target", "1.0", "--n-list", "2"], capsys)
+    assert code == 3
+    assert err.startswith("ERROR MASS_LEAK:") and "(n = 2, a = 1)" in err
+    assert err.count("\n") == 1
+
+
 def test_levelset_window_comes_from_the_terms(capsys):
     # the default window's k is the largest power exponent; an exp term
     # (class Infinity) leaves no window
@@ -386,7 +406,7 @@ def test_gibbs_tv_refuses_non_convex_exponent(capsys):
 
 
 def test_import_does_not_load_scipy_stats():
-    # nor any scipy module: src imports its one scipy use where it runs
+    # nor any scipy module: src imports none (test_scipy_uses_only_shrink)
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, exdev; "

@@ -535,6 +535,65 @@ def test_tv_point_estimate_is_direct_histogram(weibull25):
         assert est.tv == _direct_tv(values, w, est.bins, td.pdf)
 
 
+def _sparse_tv(sample, pdf, seed=7):
+    """(tv, ci_low, ci_high) of marginal_tv with each block of bootstrap
+    histograms taken as one scipy csr_array (bins x units) product."""
+    from scipy.sparse import csr_array
+    blocks, weights = sample.tv_blocks()
+    vals = np.sort(blocks, axis=1)
+    units, size = vals.shape[0], vals.size
+    lo_q, hi_q, q75, q25 = np.percentile(vals, [0.01, 99.99, 75.0, 25.0])
+    pad = 0.05 * (hi_q - lo_q) + 1e-12
+    lo, hi = max(0.0, lo_q - pad), hi_q + pad
+    nb = conditional._fd_bin_count(q75 - q25, size, lo, hi)
+    edges = np.linspace(lo, hi, nb + 1)
+    ref_mass = conditional._reference_bin_masses(pdf, edges)
+    ref_out = max(0.0, 1.0 - ref_mass.sum())
+    key = np.searchsorted(edges, vals, side="right")
+    key = (key + (nb + 2) * np.arange(units)[:, None]).ravel()
+    first = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
+    unit, slot = np.divmod(key[first], nb + 2)
+    mass = np.diff(first, append=size) * weights[unit]
+    per_bin = csr_array((mass, ((slot - 1) % (nb + 1), unit)),
+                        shape=(nb + 1, units))
+    unit_mass = np.bincount(unit, mass, units)
+
+    def tv_of(copies):
+        hist = np.ascontiguousarray((per_bin @ copies.T).T)
+        p = hist / (copies * unit_mass).sum(axis=1)[:, None]
+        return 0.5 * (np.abs(p[:, :nb] - ref_mass).sum(axis=1)
+                      + p[:, nb] + ref_out)
+
+    tv = tv_of(np.ones((1, units)))[0]
+    rng = np.random.default_rng(seed)
+    block = max(1, 2 ** 16 // units)
+    draws = []
+    for start in range(0, conditional.TV_BOOTSTRAP, block):
+        copies = [np.bincount(rng.integers(0, units, units), minlength=units)
+                  for _ in range(min(block, conditional.TV_BOOTSTRAP - start))]
+        draws.extend(tv_of(np.array(copies, dtype=float)))
+    lo_ci, hi_ci = np.percentile(draws, [2.5, 97.5])
+    return tv, min(lo_ci, tv), min(max(hi_ci, tv), 1.0)
+
+
+def test_tv_bootstrap_equals_sparse_product(weibull25):
+    # each replicate's bincount adds the same products in the same (unit)
+    # order as a sparse (bins x units) product, so the estimate and its
+    # interval are those of scipy's csr_array bit for bit
+    td = tilt_to_mean(weibull25, 2.5)
+    cases = [sample_point_conditional(
+        weibull25, ConditionDescriptor("point", n, 2.5), chains=chains,
+        burn_in=200, seed=40 + n) for n, chains in
+        ((8, 48), (32, 48), (128, 48), (8, 512))]
+    cases.append(sample_exceedance_conditional(
+        weibull25, ConditionDescriptor("exceedance", 8, 2.5), 20_000,
+        seed=41))
+    for sample in cases:
+        est = marginal_tv(sample, td.pdf)
+        assert (est.tv, est.ci_low, est.ci_high) == _sparse_tv(sample,
+                                                               td.pdf)
+
+
 # --- second-order reference ----------------------------------------------------------
 
 def test_second_order_normalized(weibull25):
@@ -739,10 +798,11 @@ def test_gibbs_local_n2_exact_at_an_edge(make, a):
 def test_exact_tv_rate_constant(make):
     # n sqrt(2 pi e) TV(exact, pi_t) -> 1 whatever the density: 1/(n
     # sqrt(2 pi e)) is the TV between N(0, 1) and N(0, (n-1)/n)
-    n = 512
-    y, rep = _exact_marginal(make(), n, n ** 0.35)
-    tv = _tv(y, rep.density, rep.reference)
-    assert abs(n * math.sqrt(2.0 * math.pi * math.e) * tv - 1.0) < 0.01
+    d = make()
+    for n in (512, 4096):
+        y, rep = _exact_marginal(d, n, n ** 0.35)
+        tv = _tv(y, rep.density, rep.reference)
+        assert abs(n * math.sqrt(2.0 * math.pi * math.e) * tv - 1.0) < 0.01, n
 
 
 def test_second_order_reference_close_to_exact(weibull25):

@@ -1,20 +1,29 @@
-"""Extreme-range Edgeworth expansion against an FFT convolution oracle."""
+"""Extreme-range Edgeworth expansion against the characteristic-function
+oracle for the standardized sum."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from exdev import (
     DomainError,
     GridSpec,
     MassLeak,
-    NormalizedTiltedDensity,
     convolve_oracle,
+    cumulants,
+    double_exp,
     edgeworth_density,
     tilt_to_mean,
+    weibull,
     z1_centered,
     z1_raw,
 )
+from exdev import quadrature, tilting
+from exdev.tilting import T_CAP
 
 from helpers import simpson_integral
 
@@ -26,24 +35,30 @@ def td20(weibull3):
 
 @pytest.fixture(scope="module")
 def ntd20(td20):
-    return NormalizedTiltedDensity(td20)
+    """The standardized tilted density x -> s pi_t(s x + m), 0 below the
+    support."""
+    def pdf(x):
+        y = td20.s * np.asarray(x, dtype=float) + td20.m
+        return np.where(y >= 0.0, td20.s * td20.pdf(np.maximum(y, 0.0)), 0.0)
+    return pdf
 
 
 # --- standardized single-step density ----------------------------------------
 
-def test_normalized_density_mean_zero_var_one(ntd20):
-    lo = -ntd20.a / ntd20.s  # left edge of the support after standardizing
-    mass = simpson_integral(ntd20.pdf, lo, 12.0, points=400_001)
-    mean = simpson_integral(lambda y: y * ntd20.pdf(y), lo, 12.0, points=400_001)
-    var = simpson_integral(lambda y: y * y * ntd20.pdf(y), lo, 12.0, points=400_001)
+def test_normalized_density_mean_zero_var_one(td20, ntd20):
+    lo = -td20.m / td20.s  # left edge of the support after standardizing
+    mass = simpson_integral(ntd20, lo, 12.0, points=400_001)
+    mean = simpson_integral(lambda y: y * ntd20(y), lo, 12.0, points=400_001)
+    var = simpson_integral(lambda y: y * y * ntd20(y), lo, 12.0, points=400_001)
     assert mass == pytest.approx(1.0, abs=1e-9)
     assert mean == pytest.approx(0.0, abs=1e-9)
     assert var == pytest.approx(1.0, abs=1e-8)
 
 
-def test_normalized_density_vanishes_below_support(ntd20):
-    y = np.array([-ntd20.a / ntd20.s - 1.0, -50.0])
-    np.testing.assert_array_equal(ntd20.pdf(y), 0.0)
+def test_normalized_density_vanishes_below_support(td20, ntd20):
+    y = np.array([-td20.m / td20.s - 1.0, -50.0])
+    np.testing.assert_array_equal(ntd20(y), 0.0)
+    np.testing.assert_array_equal(convolve_oracle(td20, 1)(y), 0.0)
 
 
 # --- convolution oracle --------------------------------------------------------
@@ -51,10 +66,10 @@ def test_normalized_density_vanishes_below_support(ntd20):
 def test_oracle_n1_reproduces_density(td20, ntd20):
     table = convolve_oracle(td20, 1)
     sel = np.abs(table.x) <= 4.0  # compare at the nodes; interp adds O(dx^2)
-    np.testing.assert_allclose(table.density[sel], ntd20.pdf(table.x[sel]),
+    np.testing.assert_allclose(table.density[sel], ntd20(table.x[sel]),
                                rtol=0, atol=1e-10)
     x = np.linspace(-4.0, 4.0, 81)
-    np.testing.assert_allclose(table(x), ntd20.pdf(x), rtol=0, atol=1e-5)
+    np.testing.assert_allclose(table(x), ntd20(x), rtol=0, atol=1e-5)
 
 
 def test_oracle_preserves_moments(td20):
@@ -83,9 +98,59 @@ def test_oracle_narrow_grid_raises_mass_leak(td20):
 
 
 def test_oracle_rejects_bad_n(td20):
-    for n in (0, -3, 2000):
+    for n in (0, -3):
         with pytest.raises(DomainError):
             convolve_oracle(td20, n)
+    # no cap on n: the spectrum's frequency count does not grow with it
+    assert convolve_oracle(td20, 2000).n == 2000
+
+
+@pytest.mark.parametrize("make, a", [
+    (double_exp, 1.0), (double_exp, 1.5), (lambda: weibull(1.5), 1.0),
+    (lambda: weibull(1.5), 1.5), (double_exp, 20.0)],
+    ids=["dexp-1", "dexp-1.5", "weibull1.5-1", "weibull1.5-1.5", "dexp-20"])
+def test_oracle_matches_a_finer_rule(make, a, monkeypatch):
+    # pi_t jumps (double-exp) or kinks (Weibull 1.5) at 0 at the first four
+    # levels, where a table sampled on a widened grid raised MassLeak; at
+    # a = 20 nodes formed as x0 + delta - m instead of delta - offset lose
+    # phi to rounding and cut it with |phi|^n still near 1
+    td = tilt_to_mean(make(), a)
+    cached = tilting._cumulants_cached.cache_info().currsize
+    for n in (8, 16, 127, 1024, 10 ** 4, 10 ** 6):
+        table = convolve_oracle(td, n)
+        x, f = table.x, table.density
+        if n <= 10 ** 4:
+            assert abs(np.trapezoid(f, x) - 1.0) < 1e-9
+            assert abs(np.trapezoid(x * f, x)) < 1e-9
+            assert abs(np.trapezoid(x * x * f, x) - 1.0) < 1e-9
+            with monkeypatch.context() as m:
+                # the oracle reruns td's rule, at a 4x finer step here
+                m.setattr(quadrature, "H", quadrature.H / 4.0)
+                fine = convolve_oracle(td, n).density
+            assert np.max(np.abs(fine - f)) < 1e-10 * f.max(), n
+    # no cumulant of the finer rule entered the cache
+    assert tilting._cumulants_cached.cache_info().currsize == cached
+
+
+@settings(derandomize=True, max_examples=40)
+@given(st.one_of(st.none(), st.floats(1.2, 6.0)), st.floats(0.0, 1.0),
+       st.integers(2, 10 ** 4))
+def test_oracle_contract_over_the_admitted_domain(k, u, n):
+    # a from just above the mean (log-uniform) to the reachable level m(T_CAP):
+    # from n = 16 on a table with the moments of the standardized sum; below,
+    # a jump or kink of pi_t at 0 may leave more spectrum than the rule holds
+    d = double_exp() if k is None else weibull(k)
+    lo, hi = 1.001 * cumulants(d, 0.0).m, cumulants(d, T_CAP).m
+    td = tilt_to_mean(d, math.exp(math.log(lo) + u * math.log(hi / lo)))
+    try:
+        table = convolve_oracle(td, n)
+    except MassLeak:
+        assert n < 16
+        return
+    x, f = table.x, table.density
+    assert abs(np.trapezoid(f, x) - 1.0) < 1e-9
+    assert abs(np.trapezoid(x * f, x)) < 1e-9
+    assert abs(np.trapezoid(x * x * f, x) - 1.0) < 1e-9
 
 
 def test_grid_spec_validation():

@@ -185,9 +185,7 @@ def scipy_imports(paths) -> list:
 def test_scipy_uses_only_shrink():
     # a ratchet: removing a scipy use deletes its line here, and a new one
     # must be argued for by adding it
-    assert scipy_imports(sorted(PACKAGE.glob("*.py"))) == [
-        "scipy.sparse.csr_array",
-    ]
+    assert scipy_imports(sorted(PACKAGE.glob("*.py"))) == []
 
 
 def test_scan_finds_a_local_scipy_import(tmp_path):
